@@ -32,9 +32,9 @@ import os
 import sys
 
 from . import fsa, oracle, systems
-from .companion import CompanionSpec
+from .companion import CompanionSpec, conjugator
 from .digits import DigitWord, alphabet, digit_length
-from .errors import CapacityError, SpecFileError, StructureError
+from .errors import CapacityError, SingularConjugatorError, SpecFileError, StructureError
 from .gfpoly import Poly, PrimeField, parse_poly
 from .systems import Summand, SystemSpec
 
@@ -100,7 +100,8 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
         )
         try:
             comp = CompanionSpec(field, r, n, rho, numerators)
-        except StructureError as exc:
+            conjugator(comp)  # rejects a reducible or inseparable minimal polynomial
+        except (StructureError, SingularConjugatorError) as exc:
             _fail(f"{origin}.ring.companion", str(exc))
     eqs_obj = _get(obj, "equations", list, origin)
     equations = []
@@ -174,6 +175,13 @@ def _parse_tuple(text: str, t: int) -> tuple:
     if any(v < 0 for v in values):
         raise SpecFileError("--tuple components must be naturals")
     return values
+
+
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
 
 
 def cmd_build(args) -> int:
@@ -263,12 +271,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enum", help="list solution tuples up to a word length")
     common(sp)
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=_natural, default=4)
     sp.set_defaults(func=cmd_enum)
 
     sp = sub.add_parser("verify", help="cross-check the automaton against brute force")
     common(sp)
-    sp.add_argument("--max-len", type=int, default=None)
+    sp.add_argument("--max-len", type=_natural, default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("solvable", help="report whether any solution exists")

@@ -20,15 +20,21 @@ That identity lets the per-digit step mirror the scalar engine: multiply
 the residue matrix by the digit-selected base powers AND one copy of C',
 then apply the entrywise section operator.  A singular C' is exactly how a
 reducible or inseparable input manifests and is rejected up front.
+
+States are defined as sets of residue-matrix tuples, as in :mod:`scalar`;
+:func:`explore` flattens each tuple to its s*n^2 polynomial entries, folds
+C' into the step maps and tracks F_p-spans with the shared span engine
+(:mod:`span`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import digits, fsa
+from . import digits, fsa, span
 from .errors import SingularConjugatorError, StructureError
 from .gfpoly import MINUS_INFINITY, Poly, PrimeField, format_poly
 
@@ -427,33 +433,36 @@ def state_label(state) -> str:
 
 
 def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
-    """Reachable state closure; returns (state keys, transition table)."""
-    cprime = ede.conjugator
-    multipliers = {}
+    """Reachable span states; returns (state keys, transition table).
+
+    Residue tuples flatten row-major to s*n^2 entries; entry (i, a, b) of an
+    image sums entry (i, a, k) times entry (k, b) of summand i's multiplier
+    (base power times C') over k.  Each key is the frozenset of residue
+    tuples forming the echelon basis of its span (see :mod:`span`).
+    """
+    n, cprime = ede.base.n, ede.conjugator
+    moves = {}
     for x in ede.exponent_alphabet:
-        for i in range(1, ede.s + 1):
-            multipliers[i, x] = base_power(ede, i, x) * cprime
-    section_letters = ede.section_alphabet
-    images: dict = {}
+        moves[x] = []
+        for i in range(ede.s):
+            rows = (base_power(ede, i + 1, x) * cprime).rows
+            for a, k, b in itertools.product(range(n), repeat=3):
+                moves[x].append(((i * n + a) * n + k, (i * n + a) * n + b, rows[k][b]))
+    initial = [f for m in ede.q for row in m.rows for f in row]
+    bases, transitions = span.explore(
+        ede.field, ede.r, degree_bound(ede)[1], initial, ede.exponent_alphabet, moves, state_cap
+    )
 
-    def member_images(tau, x):
-        key = (tau, x)
-        got = images.get(key)
-        if got is None:
-            shifted = tuple(m * multipliers[i + 1, x] for i, m in enumerate(tau))
-            got = tuple(
-                tuple(m.section(y) for m in shifted) for y in section_letters
-            )
-            images[key] = got
-        return got
+    def matrix(entries):
+        return PolyMatrix(ede.field, ede.r, [entries[a * n:(a + 1) * n] for a in range(n)])
 
-    def delta(state, x):
-        out = set()
-        for tau in state:
-            out.update(member_images(tau, x))
-        return frozenset(out)
-
-    return fsa.explore_dfa(ede.exponent_alphabet, initial_state(ede), delta, state_cap)
+    keys = [
+        frozenset(
+            tuple(matrix(row[i * n * n:(i + 1) * n * n]) for i in range(ede.s)) for row in basis
+        )
+        for basis in bases
+    ]
+    return keys, transitions
 
 
 def build_automaton(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:

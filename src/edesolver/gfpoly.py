@@ -19,10 +19,8 @@ so two characteristic-p identities get first-class support:
   gear of Frobenius substitution and drop total degree by a factor of p,
   which is what makes the digit automata of the engine modules finite.
 
-Multiplication has a dense fallback: once the operand term counts make the
-sparse convolution quadratic, coefficients are packed into an integer numpy
-array and convolved via FFT, with an exactness check before reducing mod p
-(coefficient magnitudes here are far below the 2^53 float window).
+Multiplication is the sparse convolution of the term dicts, which suits the
+polynomials of a few dozen terms that the engines multiply.
 """
 
 from __future__ import annotations
@@ -32,11 +30,6 @@ import itertools
 from .errors import StructureError
 
 MINUS_INFINITY = float("-inf")
-
-# Operand-size product above which __mul__ tries the dense path, and the
-# largest dense cell count it may allocate.
-_DENSE_PAIRS = 50_000
-_DENSE_CELLS = 6_000_000
 
 
 def _is_prime(n: int) -> bool:
@@ -204,17 +197,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.field, self.num_vars)
-        if len(self.terms) * len(other.terms) > _DENSE_PAIRS:
-            dense = self._mul_dense(other)
-            if dense is not None:
-                return dense
-        return self._mul_sparse(other)
-
-    __rmul__ = __mul__
-
-    def _mul_sparse(self, other: "Poly") -> "Poly":
         p = self.field.p
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -230,38 +212,7 @@ class Poly:
                     out.pop(key, None)
         return Poly._raw(self.field, self.num_vars, out)
 
-    def _mul_dense(self, other: "Poly"):
-        """Exact dense convolution; returns None if the grid would be huge."""
-        import numpy as np
-
-        if self.num_vars == 0:
-            return None
-        sa = self.max_exponents()
-        sb = other.max_exponents()
-        shape = tuple(x + y + 1 for x, y in zip(sa, sb))
-        cells = 1
-        for s in shape:
-            cells *= s
-        if cells > _DENSE_CELLS:
-            return None
-        from scipy.signal import fftconvolve
-
-        ga = np.zeros(tuple(x + 1 for x in sa))
-        for e, c in self.terms.items():
-            ga[e] = c
-        gb = np.zeros(tuple(x + 1 for x in sb))
-        for e, c in other.terms.items():
-            gb[e] = c
-        conv = fftconvolve(ga, gb)
-        rounded = np.rint(conv)
-        if not np.all(np.abs(conv - rounded) < 1e-3):
-            # fall back rather than risk an inexact coefficient
-            return self._mul_sparse(other)
-        arr = rounded.astype(np.int64) % self.field.p
-        out = {}
-        for idx in zip(*np.nonzero(arr)):
-            out[tuple(int(i) for i in idx)] = int(arr[idx])
-        return Poly._raw(self.field, self.num_vars, out)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

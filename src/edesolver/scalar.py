@@ -15,11 +15,15 @@ letter y maps component i to
 
     section( f_i * P_i1^{x_1} .. P_it^{x_t} , y ).
 
-An automaton state is the set of residue tuples produced by all section
-choices so far; it accepts when every member tuple sums to zero, which by
-the section operator's faithfulness happens exactly when the equation
-holds at the decoded exponent tuple.  Sections divide degrees by p, so
-states stay inside a fixed degree box and the reachable closure is finite.
+By definition a state is the set of residue tuples produced by all section
+choices so far (``initial_state`` / ``extend_state``); it accepts when every
+member tuple sums to zero, which by the section operator's faithfulness
+happens exactly when the equation holds at the decoded exponent tuple.
+Sections divide degrees by p, so residues stay inside a fixed degree box.
+The step is F_p-linear and acceptance is a linear condition, so
+:func:`explore` tracks the F_p-span of each set instead, through the span
+engine shared with the companion rings (:mod:`span`); the language is the
+same and the reachable spans are far fewer than the reachable sets.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import digits, fsa
+from . import digits, fsa, span
 from .errors import StructureError
 from .gfpoly import Poly, PrimeField, format_poly
 
@@ -165,33 +169,19 @@ def state_label(state) -> str:
 
 
 def explore(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
-    """Reachable state closure; returns (state keys, transition table)."""
-    multipliers = {}
-    for x in ede.exponent_alphabet:
-        for i in range(1, ede.s + 1):
-            multipliers[i, x] = base_power(ede, i, x)
-    section_letters = ede.section_alphabet
-    # states share members heavily, so extensions are memoized per member
-    images: dict = {}
+    """Reachable span states; returns (state keys, transition table).
 
-    def member_images(tau, x):
-        key = (tau, x)
-        got = images.get(key)
-        if got is None:
-            shifted = tuple(f * multipliers[i + 1, x] for i, f in enumerate(tau))
-            got = tuple(
-                tuple(f.section(y) for f in shifted) for y in section_letters
-            )
-            images[key] = got
-        return got
-
-    def delta(state, x):
-        out = set()
-        for tau in state:
-            out.update(member_images(tau, x))
-        return frozenset(out)
-
-    return fsa.explore_dfa(ede.exponent_alphabet, initial_state(ede), delta, state_cap)
+    Each key is the frozenset of residue tuples forming the echelon basis of
+    its span (see :mod:`span`), so the predicates above apply to it as-is.
+    """
+    moves = {
+        x: [(i, i, base_power(ede, i + 1, x)) for i in range(ede.s)]
+        for x in ede.exponent_alphabet
+    }
+    bases, transitions = span.explore(
+        ede.field, ede.r, degree_bound(ede)[1], ede.q, ede.exponent_alphabet, moves, state_cap
+    )
+    return [frozenset(basis) for basis in bases], transitions
 
 
 def build_automaton(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:

@@ -213,6 +213,28 @@ def test_non_prime_modulus(tmp_path, capsys):
     assert ".p" in err
 
 
+def test_reducible_companion(tmp_path, capsys):
+    # xi^2 = 1 over F_2 is (xi + 1)^2: the conjugator is singular
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "p": 2, "r": 1, "t": 1,
+        "ring": {"companion": {"n": 2, "rho": "1:0", "minpoly_numerators": ["1:0", "0"]}},
+        "equations": [{"summands": [{"Q": ["1:0"], "P": [["0", "1:0"]]}]}],
+    }))
+    code, _, err = run(capsys, "build", str(bad))
+    assert code == 2
+    assert "ring.companion" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["enum", "verify"])
+def test_negative_max_len(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, EVEN_N, "--max-len", "-3"])
+    assert exc.value.code == 2
+    assert "--max-len" in capsys.readouterr().err
+
+
 def test_state_cap_flag(capsys):
     code, _, err = run(capsys, "build", THETA_EQ, "--state-cap", "2")
     assert code == 3

@@ -135,14 +135,6 @@ def test_pow():
         x ** (-1)
 
 
-def test_dense_multiplication_agrees_with_sparse():
-    # enough terms to cross the dense-path threshold
-    a = Poly(F3, 1, {(i,): 1 + i % 2 for i in range(260)})
-    b = Poly(F3, 1, {(3 * i,): 2 for i in range(240)})
-    assert len(a.terms) * len(b.terms) > 50_000
-    assert a * b == a._mul_sparse(b)
-
-
 # ------------------------------------------------------------------ degrees
 
 def test_total_degree():

@@ -187,7 +187,7 @@ def test_zero_equals_zero_accepts_everything():
 
 def test_theta_equation_language():
     aut = build_automaton(EDE_THETA)
-    assert aut.num_states == 4
+    assert aut.num_states == 3
     for length in range(5):
         for combo in itertools.product(((0,), (1,)), repeat=length):
             w = DigitWord(2, 1, combo)

@@ -1,0 +1,146 @@
+"""The span engine against the powerset construction it replaced.
+
+The reference explores sets of residue tuples with the public set-semantics
+definitions (``initial_state``, ``extend_state``, ``is_accepting_state``).
+Span states track the F_p-span of those sets, so both constructions must
+give the same minimal automaton: transitions, finals and initial state.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import suites
+from edesolver import companion, fsa, scalar, span
+from edesolver.errors import CapacityError
+from edesolver.gfpoly import Poly, PrimeField
+from edesolver.scalar import ScalarEde
+
+
+# Work limits of the residue-set construction on random examples: member
+# images computed, and members visited.  Sets can grow to thousands of
+# members where spans stay small, and an example past a limit is rejected.
+RANDOM_LIMITS = (500, 50_000)
+
+
+class TooLarge(Exception):
+    """The residue-set construction outgrew its work limits."""
+
+
+def set_automaton(engine, ede, limits=(math.inf, math.inf)) -> fsa.Automaton:
+    """Minimal automaton of the residue-set construction of ``engine``."""
+    images = {}  # extend_state distributes over unions: memoized per member
+    visits = 0
+
+    def delta(state, x):
+        nonlocal visits
+        visits += len(state)
+        if visits > limits[1]:
+            raise TooLarge
+        out = set()
+        for tau in state:
+            if (tau, x) not in images:
+                if len(images) >= limits[0]:
+                    raise TooLarge
+                images[tau, x] = engine.extend_state(ede, (tau,), x)
+            out |= images[tau, x]
+        return frozenset(out)
+
+    keys, transitions = fsa.explore_dfa(
+        ede.exponent_alphabet, engine.initial_state(ede), delta
+    )
+    finals = {i for i, key in enumerate(keys) if engine.is_accepting_state(key)}
+    labels = [str(i) for i in range(len(keys))]
+    return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals).minimize()
+
+
+def signature(aut: fsa.Automaton):
+    return aut.transitions, aut.finals, aut.initial
+
+
+def assert_same_minimal_automaton(engine, ede, limits=(math.inf, math.inf)):
+    want = set_automaton(engine, ede, limits)
+    got = engine.build_automaton(ede).minimize()
+    assert signature(got) == signature(want), ede
+
+
+def test_scalar_suite_matches_set_construction():
+    for ede in suites.scalar_suite():
+        assert_same_minimal_automaton(scalar, ede)
+
+
+def test_matrix_suite_matches_set_construction():
+    for ede in suites.matrix_suite():
+        assert_same_minimal_automaton(companion, ede)
+
+
+def test_order_one_pairs_match_set_construction():
+    for matrix_ede, scalar_ede in suites.n1_pairs():
+        assert_same_minimal_automaton(companion, matrix_ede)
+        assert_same_minimal_automaton(scalar, scalar_ede)
+
+
+@st.composite
+def small_scalar_edes(draw):
+    """Random ScalarEde with p in {2, 3}, r, t <= 2, s <= 3, degrees <= 2."""
+    field = PrimeField(draw(st.sampled_from((2, 3))))
+    r = draw(st.integers(1, 2))
+    t = draw(st.integers(1, 2))
+    s = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * r).filter(lambda e: sum(e) <= 2)
+
+    def poly():
+        terms = draw(st.dictionaries(exponents, st.integers(1, field.p - 1), max_size=3))
+        return Poly(field, r, terms)
+
+    q = tuple(poly() for _ in range(s))
+    bases = tuple(tuple(poly() for _ in range(t)) for _ in range(s))
+    return ScalarEde(field, r, t, q, bases)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_scalar_edes())
+def test_random_scalar_equations_match_set_construction(ede):
+    try:
+        assert_same_minimal_automaton(scalar, ede, RANDOM_LIMITS)
+    except TooLarge:
+        reject()
+
+
+# ---------------------------------------------------------------- guards
+
+F2 = PrimeField(2)
+THETA = Poly.variable(F2, 1, 0)
+ONE = Poly.one(F2, 1)
+
+
+def test_image_outside_the_degree_box_raises():
+    # theta^3 sends 1 to theta (section by 1), which bound 0 cannot hold
+    with pytest.raises(RuntimeError, match="degree box"):
+        span.explore(F2, 1, 0, (ONE,), ((1,),), {(1,): [(0, 0, THETA**3)]}, 100)
+
+
+def test_prime_that_could_overflow_int64_is_capped():
+    # (p - 1)^2 > 2^63: the step-matrix cap refuses before any product
+    big = PrimeField(4294967311)
+    one = Poly.one(big, 1)
+    with pytest.raises(CapacityError):
+        span.explore(big, 1, 0, (one,), ((0,),), {(0,): [(0, 0, one)]}, 100)
+
+
+def test_step_matrix_cells_are_capped():
+    dense = Poly(F2, 1, {(i,): 1 for i in range(3000)})
+    with pytest.raises(CapacityError) as exc:
+        span.explore(F2, 1, 3000, (dense,), ((0,),), {(0,): []}, 100)
+    assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
+
+
+def test_high_degree_start_tracks_only_reachable_coordinates():
+    # theta^4000 * 1^n: the degree box holds 4001 monomials, the support map
+    # reaches the 13 of theta^4000, theta^2000, ..., theta^62, ..., theta, 1
+    ede = ScalarEde(F2, 1, 1, (Poly(F2, 1, {(4000,): 1}),), ((ONE,),))
+    keys, _ = scalar.explore(ede)
+    assert len(keys) == 13
+    assert_same_minimal_automaton(scalar, ede)
