@@ -3,9 +3,9 @@
 n * theta^n = 0 over F_2[theta] holds exactly when n is even (the integer
 coefficient is read mod 2).  Such coefficients are handled by peeling the
 last digit: for each possible final digit the coefficient is specialized,
-the remaining digits obey a plain equation, and the per-digit languages are
-glued back together.  Systems are just intersections of the per-equation
-languages.
+the remaining digits obey a plain equation, and the first digit read picks
+which one.  A system is decided by one exploration over all its equations
+at once; its language is the intersection of the per-equation languages.
 """
 
 from edesolver import (
@@ -46,8 +46,8 @@ both = solve_system(system)
 print("system adds theta^n + 1 = 0; solutions:",
       sorted({w.decode()[0] for w in both.enumerate_words(4)}))
 
-# the system machine is literally the meet of the per-equation machines;
-# after minimization both have the same canonical shape (labels aside)
+# the system machine and the meet of the per-equation machines accept the
+# same language; after minimization both have the same canonical shape
 meet = equation_language(system, system.equations[0]).intersect(
     equation_language(system, system.equations[1])
 )

@@ -78,6 +78,9 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
     p = _get(obj, "p", int, origin)
     r = _get(obj, "r", int, origin)
     t = _get(obj, "t", int, origin)
+    for key, val in (("r", r), ("t", t)):
+        if val < 1:
+            _fail(f"{origin}.{key}", f"expected a positive integer, got {val}")
     try:
         field = PrimeField(p)
     except StructureError as exc:
@@ -88,6 +91,8 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
         if not isinstance(ring, dict) or "companion" not in ring:
             _fail(f"{origin}.ring", 'expected "scalar" or {"companion": {...}}')
         cobj = ring["companion"]
+        if not isinstance(cobj, dict):
+            _fail(f"{origin}.ring.companion", f"expected an object, got {type(cobj).__name__}")
         n = _get(cobj, "n", int, f"{origin}.ring.companion")
         rho = _poly(
             _get(cobj, "rho", str, f"{origin}.ring.companion"),

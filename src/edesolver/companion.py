@@ -432,13 +432,22 @@ def state_label(state) -> str:
     return "{" + " , ".join(sorted("(" + "; ".join(str(m) for m in t) + ")" for t in state)) + "}"
 
 
-def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
-    """Reachable span states; returns (state keys, transition table).
+def span_entries(ede: MatrixEde) -> tuple:
+    """(start entries, acceptance groups) for :mod:`span`.
 
-    Residue tuples flatten row-major to s*n^2 entries; entry (i, a, b) of an
-    image sums entry (i, a, k) times entry (k, b) of summand i's multiplier
-    (base power times C') over k.  Each key is the frozenset of residue
-    tuples forming the echelon basis of its span (see :mod:`span`).
+    Residue tuples flatten row-major to s*n^2 entries; entry (i, a, b) is
+    summed with the (a, b) entries of the other summands.
+    """
+    n = ede.base.n
+    entries = tuple(f for m in ede.q for row in m.rows for f in row)
+    return entries, tuple(range(n * n)) * ede.s
+
+
+def span_moves(ede: MatrixEde) -> dict:
+    """The (source, target, multiplier) triples of every letter.
+
+    Entry (i, a, b) of an image sums entry (i, a, k) times entry (k, b) of
+    summand i's multiplier (base power times C') over k.
     """
     n, cprime = ede.base.n, ede.conjugator
     moves = {}
@@ -448,9 +457,19 @@ def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
             rows = (base_power(ede, i + 1, x) * cprime).rows
             for a, k, b in itertools.product(range(n), repeat=3):
                 moves[x].append(((i * n + a) * n + k, (i * n + a) * n + b, rows[k][b]))
-    initial = [f for m in ede.q for row in m.rows for f in row]
+    return moves
+
+
+def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
+    """Reachable span states; returns (state keys, transition table).
+
+    Each key is the frozenset of residue tuples forming the echelon basis of
+    its span (see :mod:`span`).
+    """
+    n = ede.base.n
     bases, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], initial, ede.exponent_alphabet, moves, state_cap
+        ede.field, ede.r, degree_bound(ede)[1], [span_entries(ede)[0]],
+        ede.exponent_alphabet, span_moves(ede), state_cap,
     )
 
     def matrix(entries):

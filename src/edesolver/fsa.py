@@ -151,23 +151,6 @@ class Automaton:
         labels = list(self.labels) + ["pre", "sink"]
         return Automaton(self.p, self.t, labels, trans, fresh, self.finals)
 
-    def with_initial_finality(self, final: bool) -> "Automaton":
-        """Copy with the initial state's finality forced.
-
-        Only legal while no transition targets the initial state, so the
-        change affects exactly the empty word.
-        """
-        if any(self.initial in row for row in self.transitions):
-            raise StructureError("initial state is a transition target")
-        finals = set(self.finals)
-        if final:
-            finals.add(self.initial)
-        else:
-            finals.discard(self.initial)
-        return Automaton(
-            self.p, self.t, self.labels, self.transitions, self.initial, finals
-        )
-
     def is_empty(self) -> bool:
         """True when no word at all is accepted."""
         seen = {self.initial}

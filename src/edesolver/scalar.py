@@ -168,18 +168,28 @@ def state_label(state) -> str:
     return "{" + " , ".join(sorted(_residues_label(t) for t in state)) + "}"
 
 
+def span_entries(ede: ScalarEde) -> tuple:
+    """(start entries, acceptance groups) for :mod:`span`: one entry per summand, all summed."""
+    return ede.q, (0,) * ede.s
+
+
+def span_moves(ede: ScalarEde) -> dict:
+    """The (source, target, multiplier) triples of every letter: summand i times its base power."""
+    return {
+        x: [(i, i, base_power(ede, i + 1, x)) for i in range(ede.s)]
+        for x in ede.exponent_alphabet
+    }
+
+
 def explore(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
     """Reachable span states; returns (state keys, transition table).
 
     Each key is the frozenset of residue tuples forming the echelon basis of
     its span (see :mod:`span`), so the predicates above apply to it as-is.
     """
-    moves = {
-        x: [(i, i, base_power(ede, i + 1, x)) for i in range(ede.s)]
-        for x in ede.exponent_alphabet
-    }
     bases, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], ede.q, ede.exponent_alphabet, moves, state_cap
+        ede.field, ede.r, degree_bound(ede)[1], [span_entries(ede)[0]],
+        ede.exponent_alphabet, span_moves(ede), state_cap,
     )
     return [frozenset(basis) for basis in bases], transitions
 

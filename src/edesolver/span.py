@@ -16,10 +16,10 @@ for positive characteristic (Invent. Math. 168, 2007).
 Coordinates.  A residue tuple flattens to E entry polynomials (s for a
 scalar ring, s*n^2 for a companion ring).  A coordinate is a pair (entry,
 monomial); the coordinates tracked are those the step's support map
-reaches from the support of the start tuple, which every reachable span
-lives in.  They lie in the box of total degree <= N, the equation's degree
-bound, which the step maps into itself, so a coordinate outside it is a
-bug and raises.
+reaches from the supports of the start rows, which every reachable span
+lives in.  They lie in the box of total degree <= N, the degree bound,
+which the step maps into itself, so a coordinate outside it is a bug and
+raises.
 
 Step maps.  For each digit letter x one dense matrix over F_p holds the
 images under every section letter side by side: the row vector v times
@@ -28,11 +28,21 @@ Column (y, entry b, monomial g) of row (entry a, monomial e) is read off the
 multiplier terms directly: a term c*x^u of the multiplier from entry a to
 entry b sends x^e to c*x^g with y = (e + u) mod p and g = (e + u) div p.
 
+Several equations.  A system (see :mod:`systems`) lays the entries of its
+equations side by side, so its step maps are block-diagonal and one
+exploration decides all equations at once.  Its start depends on the
+first letter: a pre-initial state (key None) sends letter d to the span of
+the start rows for d, one row per equation.  Acceptance is then given by
+entry groups: a row accepts when, within every group, the entries sum to
+zero monomial by monomial, that is when it lies in the kernel of the 0/1
+matrix A summing each group's entries at each monomial.
+
 States.  A state is the reduced row-echelon basis of its span, keyed by the
 bytes of that basis; the successor under x is the echelon form of the
-stacked images of the basis rows.  Arithmetic is numpy int64, reduced mod p
-after every product.  A matrix product sums at most width * (p-1)^2, which
-the cap on step-matrix cells (width^2 * p^r per letter) keeps below 2^60.
+stacked images of the basis rows.  Products are numpy int64, reduced mod p
+after every product; a product sums at most width * (p-1)^2, which the cap
+on step-matrix cells (width^2 * p^r per letter) keeps below 2^60.  Spans
+are small (tens of coordinates), so the elimination runs on Python lists.
 """
 
 from __future__ import annotations
@@ -50,14 +60,14 @@ from .gfpoly import Poly
 MAX_STEP_CELLS = 1 << 24
 
 
-def _coordinates(initial, moves, p: int, bound: int, max_width: int) -> list:
-    """Sorted (entry, exponent vector) pairs reachable from the start's support."""
+def _coordinates(rows, moves, p: int, bound: int, max_width: int) -> list:
+    """Sorted (entry, exponent vector) pairs reachable from the start rows' supports."""
     successors = {}
     for triples in moves.values():
         for a, b, f in triples:
             successors.setdefault(a, set()).update((b, u) for u in f.terms)
-    frontier = [(j, e) for j, f in enumerate(initial) for e in f.terms]
-    seen = set(frontier)
+    seen = {(j, e) for row in rows for j, f in enumerate(row) for e in f.terms}
+    frontier = list(seen)
     while frontier:
         grown = []
         for a, e in frontier:
@@ -77,10 +87,9 @@ def _coordinates(initial, moves, p: int, bound: int, max_width: int) -> list:
     return sorted(seen)
 
 
-def _step_matrices(coords, p: int, r: int, letters, moves):
+def _step_matrices(coords, index, p: int, r: int, letters, moves):
     """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
     width = len(coords)
-    index = {c: i for i, c in enumerate(coords)}
     of_entry = {}
     for i, (a, e) in enumerate(coords):
         of_entry.setdefault(a, []).append((i, e))
@@ -103,65 +112,95 @@ def _step_matrices(coords, p: int, r: int, letters, moves):
 
 def _echelon(a, p: int):
     """Reduced row-echelon form of ``a`` mod p with the zero rows dropped."""
-    a = a[a.any(axis=1)]
-    rank = col = 0
-    while rank < len(a) and col < a.shape[1]:
-        nonzero = a[rank:, col:] != 0
-        live = nonzero.any(axis=0)
-        step = int(live.argmax())
-        if not live[step]:
+    width = a.shape[1]
+    pivots = {}  # pivot column -> row; each row is zero in the other pivot columns
+    for row in a.tolist():
+        for col, prow in pivots.items():
+            c = row[col]
+            if c:
+                row = [(v - c * w) % p for v, w in zip(row, prow)]
+        c = next(filter(None, row), 0)
+        if not c:
+            continue
+        lead = row.index(c)
+        if c != 1:
+            inv = pow(c, -1, p)
+            row = [v * inv % p for v in row]
+        for col, prow in pivots.items():
+            c = prow[lead]
+            if c:
+                pivots[col] = [(v - c * w) % p for v, w in zip(prow, row)]
+        pivots[lead] = row
+        if len(pivots) == width:
             break
-        col += step
-        pivot = rank + int(nonzero[:, step].argmax())
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        row = a[rank]
-        if row[col] != 1:
-            row *= pow(int(row[col]), -1, p)
-            row %= p
-        factors = a[:, col].copy()
-        factors[rank] = 0
-        a -= np.multiply.outer(factors, row)
-        a %= p
-        rank += 1
-        col += 1
-    return a[:rank]
+    return np.array([pivots[col] for col in sorted(pivots)], dtype=np.int64).reshape(len(pivots), width)
 
 
-def explore(field, r: int, bound: int, initial, letters, moves, state_cap: int):
-    """Reachable span states; returns (bases, transition table).
+def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, accept=None):
+    """Reachable span states; returns (bases, transitions), or (finals, transitions).
 
-    ``initial`` is the flattened start tuple of E entry polynomials in r
-    variables, of total degree <= ``bound``.  ``moves[x]`` lists the
-    (source entry, target entry, multiplier) triples of letter x: entry b of
-    the image under section letter y is the sum over its triples (a, b, f)
-    of section(entry a * f, y).  ``bases[i]`` is the echelon basis of state
-    i, each row decoded back to a tuple of E polynomials.
+    A start row is a flattened tuple of E entry polynomials in r variables,
+    of total degree <= ``bound``.  ``starts`` lists the start rows whose
+    span is the initial state, or maps every letter to such a list: then
+    state 0 is a pre-initial state (key None) whose successor under letter
+    d is the span of ``starts[d]``.  ``moves[x]`` lists the (source entry,
+    target entry, multiplier) triples of letter x: entry b of the image
+    under section letter y is the sum over its triples (a, b, f) of
+    section(entry a * f, y).
+
+    Without ``accept``, ``bases[i]`` is the echelon basis of state i, each
+    row decoded back to a tuple of E polynomials.  ``accept`` maps each
+    entry to its acceptance group; then ``finals`` holds the states whose
+    rows sum to zero within every group (the pre-initial state is never
+    among them: the empty word is the caller's to decide).
     """
     p = field.p
-    blocks = len(letters) * p**r
-    coords = _coordinates(initial, moves, p, bound, math.isqrt(MAX_STEP_CELLS // blocks))
+    dispatch = isinstance(starts, dict)
+    rows = [row for d in letters for row in starts[d]] if dispatch else starts
+    sections = p**r
+    max_width = math.isqrt(MAX_STEP_CELLS // (len(letters) * sections))
+    coords = _coordinates(rows, moves, p, bound, max_width)
     width = len(coords)
-    if not width:  # a zero start tuple spans the zero space, which maps to itself
-        return [[]], [[0] * len(letters)]
-    maps = dict(zip(letters, _step_matrices(coords, p, r, letters, moves)))
+    index = {c: i for i, c in enumerate(coords)}
+    maps = dict(zip(letters, _step_matrices(coords, index, p, r, letters, moves)))
 
-    start = np.zeros((1, width), dtype=np.int64)
-    for i, (j, e) in enumerate(coords):
-        start[0, i] = initial[j].terms.get(e, 0)
+    def span_of(start_rows):
+        a = np.zeros((len(start_rows), width), dtype=np.int64)
+        for k, row in enumerate(start_rows):
+            for j, f in enumerate(row):
+                for e, c in f.terms.items():
+                    a[k, index[j, e]] = c
+        return _echelon(a, p).tobytes()
 
     def basis(key):
+        if not width:  # all starts are zero: every state is the zero space
+            return np.zeros((0, 0), dtype=np.int64)
         return np.frombuffer(key, dtype=np.int64).reshape(-1, width)
 
     def delta(key, x):
-        return _echelon((basis(key) @ maps[x] % p).reshape(-1, width), p).tobytes()
+        if key is None:
+            return first[x]
+        b = basis(key)
+        return _echelon((b @ maps[x] % p).reshape(len(b) * sections, width), p).tobytes()
 
-    keys, transitions = fsa.explore_dfa(
-        letters, _echelon(start, p).tobytes(), delta, state_cap
-    )
+    first = {d: span_of(starts[d]) for d in letters} if dispatch else None
+    initial = None if dispatch else span_of(starts)
+    keys, transitions = fsa.explore_dfa(letters, initial, delta, state_cap)
+
+    if accept is not None:
+        # column k of A sums one acceptance group at one monomial
+        cols = {}
+        sums = np.zeros((width, width), dtype=np.int64)
+        for i, (j, e) in enumerate(coords):
+            sums[i, cols.setdefault((accept[j], e), len(cols))] = 1
+        finals = {
+            i for i, key in enumerate(keys)
+            if key is not None and not (basis(key) @ sums % p).any()
+        }
+        return finals, transitions
 
     # coords are sorted by entry, so each entry owns one slice of a row
-    ends = [bisect.bisect_left(coords, (j,)) for j in range(len(initial) + 1)]
+    ends = [bisect.bisect_left(coords, (j,)) for j in range(len(rows[0]) + 1)]
     slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     polys = {}  # states share entries: one Poly per distinct coefficient vector
 

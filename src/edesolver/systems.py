@@ -8,20 +8,22 @@ coefficient-free equations, one per last-digit tuple d:
 
     sum_i  coeff_i(d) * Q_i * prod_k P_ik^{d_k}  *  prod_k (P_ik^p)^{m_k} = 0 .
 
-Each peeled equation is a plain engine instance; its automaton, with the
-prefix letter d glued in front, covers exactly the original solutions
-whose words start with d.  The union over all p^t prefixes plus a direct
-check of the zero tuple (the empty word) yields one equation's language;
-the system's language is the intersection over its equations.
+The peeled equations of one system share their bases (P_ik^p, and the
+conjugator C' for companion rings) whatever d is, so they share one step
+map.  :func:`solve_system` lays the flattened entries of all equations
+side by side, making the step maps block-diagonal, and runs one span
+exploration (:mod:`span`) for the whole system: a pre-initial state reads
+the last digit d and moves to the span of the peeled starting residues for
+d, one row per equation; a span accepts when every equation's residues
+cancel; the empty word, the zero tuple, is checked directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from . import companion as companion_mod
-from . import digits, fsa, scalar
+from . import digits, fsa, scalar, span
 from .companion import CompanionSpec, MatrixEde, PolyMatrix, evaluate_at_companion
 from .errors import StructureError
 from .gfpoly import Poly, PrimeField
@@ -168,16 +170,43 @@ def solves_at_zero(sys: SystemSpec, equation) -> bool:
 
 def equation_language(sys: SystemSpec, equation, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """Automaton for the words solving one equation of the system."""
-    build = scalar.build_automaton if sys.companion is None else companion_mod.build_automaton
-    parts = []
-    for prefix in digits.alphabet(sys.field.p, sys.t):
-        ede = peel_equation(sys, equation, prefix)
-        parts.append(build(ede, state_cap).prepend_letter(prefix))
-    combined = reduce(lambda a, b: a.union(b), parts)
-    return combined.with_initial_finality(solves_at_zero(sys, equation))
+    one = SystemSpec(sys.field, sys.r, sys.t, sys.companion, (equation,))
+    return solve_system(one, state_cap)
 
 
 def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
-    """Automaton deciding the whole system (intersection over equations)."""
-    langs = [equation_language(sys, eq, state_cap) for eq in sys.equations]
-    return reduce(lambda a, b: a.intersect(b), langs)
+    """Automaton deciding the whole system, from one span exploration.
+
+    State 0 is the pre-initial state: it accepts the empty word exactly when
+    the zero tuple solves every equation.  ``state_cap`` bounds the joint
+    exploration.
+    """
+    ring = scalar if sys.companion is None else companion_mod
+    peeled = peel_last_digits(sys)
+    letters = tuple(prefix for prefix, _ in peeled)
+    moves = {x: [] for x in letters}
+    groups = []  # acceptance group of every entry, equations side by side
+    for e, ede in enumerate(peeled[0][1]):  # moves do not depend on the prefix
+        offset = len(groups)
+        groups += [(e, g) for g in ring.span_entries(ede)[1]]
+        for x, triples in ring.span_moves(ede).items():
+            moves[x] += [(a + offset, b + offset, f) for a, b, f in triples]
+    zero = Poly.zero(sys.field, sys.r)
+    starts = {}
+    for prefix, edes in peeled:
+        starts[prefix] = []
+        offset = 0
+        for ede in edes:
+            entries = ring.span_entries(ede)[0]
+            row = [zero] * len(groups)
+            row[offset:offset + len(entries)] = entries
+            starts[prefix].append(row)
+            offset += len(entries)
+    bound = max(ring.degree_bound(ede)[1] for _, edes in peeled for ede in edes)
+    finals, transitions = span.explore(
+        sys.field, sys.r, bound, starts, letters, moves, state_cap, accept=groups
+    )
+    if all(solves_at_zero(sys, eq) for eq in sys.equations):
+        finals.add(0)
+    labels = ["pre"] + [str(i) for i in range(1, len(transitions))]
+    return fsa.Automaton(sys.field.p, sys.t, labels, transitions, 0, finals)

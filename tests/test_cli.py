@@ -227,6 +227,32 @@ def test_reducible_companion(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_companion_ring_must_be_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "p": 2, "r": 1, "t": 1, "ring": {"companion": [1]},
+        "equations": [{"summands": [{"Q": ["1:0"], "P": [["1:0"]]}]}],
+    }))
+    code, _, err = run(capsys, "build", str(bad))
+    assert code == 2
+    assert "ring.companion: expected an object" in err
+
+
+@pytest.mark.parametrize("key", ["r", "t"])
+def test_zero_arity_is_reported_before_any_polynomial(tmp_path, capsys, key):
+    spec = {
+        "p": 2, "r": 1, "t": 1,
+        "equations": [{"summands": [{"Q": "1:0", "P": ["1:0"]}]}],
+    }
+    spec[key] = 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, _, err = run(capsys, "build", str(bad))
+    assert code == 2
+    assert f"bad.json.{key}: expected a positive integer" in err
+    assert "summands" not in err
+
+
 @pytest.mark.parametrize("command", ["enum", "verify"])
 def test_negative_max_len(capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -179,18 +179,6 @@ def test_prepend_shifts_the_language(data):
         assert not pre.accepts(w)
 
 
-def test_with_initial_finality():
-    a = first_letter((1,))
-    on = a.with_initial_finality(True)
-    assert on.accepts(DigitWord(2, 1, ()))
-    off = on.with_initial_finality(False)
-    assert not off.accepts(DigitWord(2, 1, ()))
-    for w in words_up_to(2, 1, 4):
-        if len(w):
-            assert on.accepts(w) == a.accepts(w)
-            assert off.accepts(w) == a.accepts(w)
-
-
 # -------------------------------------------------------------- enumeration
 
 def test_is_empty():

@@ -8,6 +8,7 @@ give the same minimal automaton: transitions, finals and initial state.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -109,6 +110,29 @@ def test_random_scalar_equations_match_set_construction(ede):
         reject()
 
 
+# ------------------------------------------------------------- elimination
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_echelon_is_the_canonical_reduced_form(data):
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    rows, width = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 7))
+    cells = st.lists(st.integers(0, p - 1), min_size=rows * width, max_size=rows * width)
+    a = np.array(data.draw(cells), dtype=np.int64).reshape(rows, width)
+    e = span._echelon(a, p)
+    assert e.dtype == np.int64 and e.shape[1] == width
+    leads = [int(np.flatnonzero(row)[0]) for row in e]  # no zero rows
+    assert leads == sorted(set(leads))
+    for k, lead in enumerate(leads):
+        assert e[k, lead] == 1
+        assert np.count_nonzero(e[:, lead]) == 1
+    # the same span, however it is spanned, gives the same bytes
+    mix = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=rows * rows, max_size=rows * rows)))
+    more = np.vstack([(mix.reshape(rows, rows) @ a) % p, a[::-1]]) if rows else a
+    assert span._echelon(more, p).tobytes() == e.tobytes()
+    assert span._echelon(e, p).tobytes() == e.tobytes()
+
+
 # ---------------------------------------------------------------- guards
 
 F2 = PrimeField(2)
@@ -119,7 +143,7 @@ ONE = Poly.one(F2, 1)
 def test_image_outside_the_degree_box_raises():
     # theta^3 sends 1 to theta (section by 1), which bound 0 cannot hold
     with pytest.raises(RuntimeError, match="degree box"):
-        span.explore(F2, 1, 0, (ONE,), ((1,),), {(1,): [(0, 0, THETA**3)]}, 100)
+        span.explore(F2, 1, 0, [(ONE,)], ((1,),), {(1,): [(0, 0, THETA**3)]}, 100)
 
 
 def test_prime_that_could_overflow_int64_is_capped():
@@ -127,13 +151,13 @@ def test_prime_that_could_overflow_int64_is_capped():
     big = PrimeField(4294967311)
     one = Poly.one(big, 1)
     with pytest.raises(CapacityError):
-        span.explore(big, 1, 0, (one,), ((0,),), {(0,): [(0, 0, one)]}, 100)
+        span.explore(big, 1, 0, [(one,)], ((0,),), {(0,): [(0, 0, one)]}, 100)
 
 
 def test_step_matrix_cells_are_capped():
     dense = Poly(F2, 1, {(i,): 1 for i in range(3000)})
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 1, 3000, (dense,), ((0,),), {(0,): []}, 100)
+        span.explore(F2, 1, 3000, [(dense,)], ((0,),), {(0,): []}, 100)
     assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
 
 

@@ -1,12 +1,15 @@
-"""Coefficient peeling and the union/intersection assembly of languages."""
+"""Coefficient peeling and the one-exploration solver of whole systems."""
 
 import itertools
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import suites
-from edesolver import oracle, scalar
+from edesolver import cli, companion, oracle, scalar
 from edesolver.companion import MatrixEde, PolyMatrix, companion_matrix
 from edesolver.digits import DigitWord, alphabet
 from edesolver.errors import StructureError
@@ -34,6 +37,37 @@ THETA_EQ = SystemSpec(
     F2, 1, 1, None,
     ((Summand(None, ONE, (THETA,)), Summand(None, THETA, (ONE,))),),
 )
+# n^2 + n vanishes identically on F_2: every peeled start is zero
+FERMAT = SystemSpec(
+    F2, 1, 1, None, ((Summand(parse_poly("1:2 + 1:1", F2, 1), ONE, (ONE,)),),)
+)
+ZERO_EQ = (Summand(None, ZERO, (ONE,)),)
+TWO_ZERO_EQS = SystemSpec(F2, 1, 1, None, (ZERO_EQ, ZERO_EQ))
+UNSOLVABLE_MEET = SystemSpec(
+    F2, 1, 1, None,
+    (
+        (Summand(None, ONE, (THETA,)), Summand(None, THETA, (ONE,))),
+        (Summand(None, ONE, (ONE,)),),  # 1 = 0
+    ),
+)
+# even n, intersected with n = 0 (theta^n + 1 + theta + theta = theta^n + 1)
+EVEN_AND_ZERO = SystemSpec(
+    F2, 1, 1, None,
+    (
+        (Summand(NVAR, ONE, (THETA,)),),
+        (
+            Summand(None, ONE, (THETA,)),
+            Summand(None, THETA, (ONE,)),
+            Summand(None, THETA + ONE, (ONE,)),
+        ),
+    ),
+)
+
+
+def matrix_even_n():
+    """n * B^n = 0 over the order-2 companion ring, B invertible."""
+    spec2 = suites.companion_n2_f2()
+    return SystemSpec(F2, 1, 1, spec2, ((Summand(NVAR, (ONE,), ((ZERO, ONE),)),),))
 
 
 def words_up_to(p, t, max_len):
@@ -199,45 +233,23 @@ def test_even_n_language():
 
 
 def test_fermat_vanishing_coefficient_accepts_everything():
-    coeff = parse_poly("1:2 + 1:1", F2, 1)  # n^2 + n, identically 0 on F_2
-    sys_spec = SystemSpec(F2, 1, 1, None, ((Summand(coeff, ONE, (ONE,)),),))
-    aut = solve_system(sys_spec)
+    aut = solve_system(FERMAT)
     for w in words_up_to(2, 1, 4):
         assert aut.accepts(w)
 
 
 def test_system_of_two_trivial_equations():
-    zero_eq = (Summand(None, ZERO, (ONE,)),)
-    sys_spec = SystemSpec(F2, 1, 1, None, (zero_eq, zero_eq))
-    aut = solve_system(sys_spec)
+    aut = solve_system(TWO_ZERO_EQS)
     for w in words_up_to(2, 1, 3):
         assert aut.accepts(w)
 
 
 def test_meet_with_unsolvable_equation_is_empty():
-    sys_spec = SystemSpec(
-        F2, 1, 1, None,
-        (
-            (Summand(None, ONE, (THETA,)), Summand(None, THETA, (ONE,))),
-            (Summand(None, ONE, (ONE,)),),  # 1 = 0
-        ),
-    )
-    assert solve_system(sys_spec).is_empty()
+    assert solve_system(UNSOLVABLE_MEET).is_empty()
 
 
 def test_intersection_equals_per_equation_meet():
-    # even n, intersected with n = 0 (theta^n + 1 + theta + theta = theta^n + 1)
-    sys_spec = SystemSpec(
-        F2, 1, 1, None,
-        (
-            (Summand(NVAR, ONE, (THETA,)),),
-            (
-                Summand(None, ONE, (THETA,)),
-                Summand(None, THETA, (ONE,)),
-                Summand(None, THETA + ONE, (ONE,)),
-            ),
-        ),
-    )
+    sys_spec = EVEN_AND_ZERO
     whole = solve_system(sys_spec)
     parts = [equation_language(sys_spec, eq) for eq in sys_spec.equations]
     for w in words_up_to(2, 1, 4):
@@ -246,11 +258,7 @@ def test_intersection_equals_per_equation_meet():
 
 
 def test_matrix_system_language():
-    spec2 = suites.companion_n2_f2()
-    sys_spec = SystemSpec(
-        F2, 1, 1, spec2,
-        ((Summand(NVAR, (ONE,), ((ZERO, ONE),)),),),  # n * B^n = 0, B invertible
-    )
+    sys_spec = matrix_even_n()
     aut = solve_system(sys_spec)
     decoded = sorted({w.decode()[0] for w in aut.enumerate_words(3)})
     assert decoded == [0, 2, 4, 6]
@@ -268,3 +276,75 @@ def test_random_systems_agree_with_oracle():
         aut = solve_system(sys_spec)
         rep = oracle.compare(sys_spec, aut, 3)
         assert rep.ok, rep.mismatches[:3]
+
+
+# ------------------------------------------------------ reference assembly
+#
+# The joint exploration against a reference built from public pieces only:
+# the empty word spells the zero tuple, and a word d.w solves the system
+# exactly when w is accepted by the engine automaton of every equation
+# peeled at the last digit d.
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+
+
+def assert_matches_reference(sys_spec, max_len=4):
+    p, t = sys_spec.field.p, sys_spec.t
+    aut = solve_system(sys_spec).minimize()
+    build = scalar.build_automaton if sys_spec.companion is None else companion.build_automaton
+    lam = all(solves_at_zero(sys_spec, eq) for eq in sys_spec.equations)
+    assert aut.accepts(DigitWord(p, t, ())) == lam
+    for d in alphabet(p, t):
+        parts = [build(peel_equation(sys_spec, eq, d)) for eq in sys_spec.equations]
+        for w in words_up_to(p, t, max_len - 1):
+            want = all(a.accepts(w) for a in parts)
+            assert aut.accepts(DigitWord(p, t, (d,) + w.letters)) == want, (sys_spec, d, w)
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_specs_match_reference(path):
+    assert_matches_reference(cli.load_spec(str(path)))
+
+
+def test_known_systems_match_reference():
+    for sys_spec in (
+        EVEN_N, THETA_EQ, FERMAT, TWO_ZERO_EQS, UNSOLVABLE_MEET, EVEN_AND_ZERO, matrix_even_n(),
+    ):
+        assert_matches_reference(sys_spec)
+
+
+def test_all_zero_starts_explore_only_the_zero_space():
+    # every peeled start is zero, so the span has no coordinates at all:
+    # the pre-initial state and the zero space, which accepts
+    for sys_spec in (FERMAT, TWO_ZERO_EQS):
+        aut = solve_system(sys_spec)
+        assert aut.num_states == 2
+        assert aut.finals == {0, 1}
+
+
+@st.composite
+def scalar_systems(draw):
+    """Scalar systems: p in {2, 3}, r, t <= 2, 1-3 equations of 1-2 summands."""
+    field = PrimeField(draw(st.sampled_from((2, 3))))
+    r = draw(st.integers(1, 2))
+    t = draw(st.integers(1, 2))
+
+    def poly(num_vars):
+        exponents = st.tuples(*[st.integers(0, 2)] * num_vars).filter(lambda e: sum(e) <= 2)
+        terms = draw(st.dictionaries(exponents, st.integers(1, field.p - 1), max_size=3))
+        return Poly(field, num_vars, terms)
+
+    equations = []
+    for _ in range(draw(st.integers(1, 3))):
+        summands = []
+        for _ in range(draw(st.integers(1, 2))):
+            coeff = poly(t) if draw(st.booleans()) else None
+            summands.append(Summand(coeff, poly(r), tuple(poly(r) for _ in range(t))))
+        equations.append(tuple(summands))
+    return SystemSpec(field, r, t, None, tuple(equations))
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalar_systems())
+def test_random_scalar_systems_match_reference(sys_spec):
+    assert_matches_reference(sys_spec)
