@@ -1,8 +1,8 @@
 """Trust, but verify: the built machine against brute-force substitution.
 
-`compare` enumerates every digit word up to a length, evaluates the
-equation literally (repeated squaring, no sections anywhere), and diffs
-that against the automaton's verdicts.  The report is plain JSON, as are
+`compare` checks every digit word up to a length: it evaluates the
+equation literally over the whole exponent grid (plain products, no
+sections anywhere) and diffs that against the automaton's verdicts.  The report is plain JSON, as are
 the exported machines, and both are byte-stable across runs.
 """
 

@@ -27,6 +27,7 @@ lowest xi power first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,6 +250,7 @@ def cmd_solvable(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edesolver",

@@ -37,14 +37,6 @@ def check_letter(letter, p: int, width: int) -> tuple:
     return letter
 
 
-def letter_exponents(letter, p: int) -> tuple:
-    """The exponent vector a single letter contributes, digit for digit."""
-    letter = tuple(letter)
-    if any(d < 0 or d >= p for d in letter):
-        raise StructureError(f"letter {letter} has digits outside [0, {p})")
-    return letter
-
-
 def digit_length(value: int, p: int) -> int:
     """Number of base-p digits of a natural (0 needs none)."""
     if value < 0:

@@ -6,22 +6,28 @@ It never touches the section operator, Frobenius substitution or the
 per-digit step machinery, so agreement between ``compare`` and a built
 automaton is evidence for the construction rather than for itself.
 
-``compare`` checks every word up to a length bound.  For scalar-ring
-inputs it first tabulates the solution set over the whole decoded
-exponent grid by incremental dense products (numpy integer arrays, still
-literal multiplication, no characteristic-p shortcuts); per-word sparse
-evaluation would repeat enormous products once exponents reach p^max_len.
-Matrix-ring inputs take the direct per-word path with memoized powers.
+``compare`` checks every word up to a length bound.  One dense kernel
+tabulates the solution set over the decoded exponent grid [0, p^max_len)^t
+for scalar and companion rings alike: a ring element is an (n, n, *canvas)
+array mod p (n = 1 for a scalar ring), the canvas fitting every product of
+the sweep, and multiplying by a base adds one shifted copy per term:
+literal multiplication with no characteristic-p shortcuts, in batches of at
+most ``BATCH_CELLS`` cells.  Words are swept in level order (length l+1 is
+length l extended by every letter), so a whole level's automaton states and
+grid indices are two arrays, and word objects are built only for mismatches.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .companion import MatrixEde, PolyMatrix, evaluate_at_companion
+from . import fsa
+from .companion import MatrixEde, evaluate_at_companion
 from .digits import DigitWord, alphabet
 from .errors import CapacityError, StructureError
 from .gfpoly import Poly
@@ -29,12 +35,30 @@ from .scalar import ScalarEde
 from .systems import SystemSpec
 
 DEFAULT_WORD_CAP = 500_000
+# Largest number of cells (batch size times n^2 times the canvas) in one
+# batch of the solution-grid sweep: bigger batches save little time and
+# cost memory.
+BATCH_CELLS = 1 << 15
 
 
-def _one_like(elem):
-    if isinstance(elem, Poly):
-        return Poly.one(elem.field, elem.num_vars)
-    return PolyMatrix.identity(elem.field, elem.num_vars, elem.n)
+def _equations(spec) -> list:
+    """Every equation as [(coeff | None, q, bases)] of Poly or PolyMatrix ring elements.
+
+    Companion data is evaluated at the companion matrix once per summand.
+    """
+    if isinstance(spec, (ScalarEde, MatrixEde)):
+        return [[(None, q, spec.bases[i]) for i, q in enumerate(spec.q)]]
+    if not isinstance(spec, SystemSpec):
+        raise StructureError(f"cannot evaluate object of type {type(spec).__name__}")
+    comp = spec.companion
+
+    def elem(x):
+        return x if comp is None else evaluate_at_companion(x, comp)
+
+    return [
+        [(sm.coeff, elem(sm.q), tuple(elem(b) for b in sm.bases)) for sm in eq]
+        for eq in spec.equations
+    ]
 
 
 def _pow_cached(base, n: int, cache: dict | None, key):
@@ -44,10 +68,8 @@ def _pow_cached(base, n: int, cache: dict | None, key):
     got = cache.get((key, n))
     if got is not None:
         return got
-    if n == 0:
-        out = _one_like(base)
-    elif n == 1:
-        out = base
+    if n < 2:
+        out = base**n
     else:
         half = _pow_cached(base, n >> 1, cache, key)
         out = half * half
@@ -66,60 +88,22 @@ def evaluate(spec, values, cache: dict | None = None):
     values = tuple(values)
     if any(v < 0 for v in values):
         raise StructureError("exponents must be naturals")
-    if isinstance(spec, ScalarEde):
-        if len(values) != spec.t:
-            raise StructureError(f"expected {spec.t} exponents")
-        total = Poly.zero(spec.field, spec.r)
-        for i, q in enumerate(spec.q):
-            term = q
+    equations = _equations(spec)
+    if len(values) != spec.t:
+        raise StructureError(f"expected {spec.t} exponents")
+    out = []
+    for e, eq in enumerate(equations):
+        total = eq[0][1] * 0  # the ring's zero
+        for i, (coeff, q, bases) in enumerate(eq):
+            c = 1 if coeff is None else coeff.evaluate(values)
+            if c == 0:
+                continue
+            term = q * c
             for k, n in enumerate(values):
-                term = term * _pow_cached(spec.bases[i][k], n, cache, ("b", i, k))
+                term = term * _pow_cached(bases[k], n, cache, ("b", e, i, k))
             total = total + term
-        return total
-    if isinstance(spec, MatrixEde):
-        if len(values) != spec.t:
-            raise StructureError(f"expected {spec.t} exponents")
-        total = PolyMatrix.zero(spec.field, spec.r, spec.base.n)
-        for i, q in enumerate(spec.q):
-            term = q
-            for k, n in enumerate(values):
-                term = term * _pow_cached(spec.bases[i][k], n, cache, ("b", i, k))
-            total = total + term
-        return total
-    if isinstance(spec, SystemSpec):
-        if len(values) != spec.t:
-            raise StructureError(f"expected {spec.t} exponents")
-        out = []
-        for e, eq in enumerate(spec.equations):
-            if spec.companion is None:
-                total = Poly.zero(spec.field, spec.r)
-            else:
-                total = PolyMatrix.zero(spec.field, spec.r, spec.companion.n)
-            for i, sm in enumerate(eq):
-                c = 1 if sm.coeff is None else sm.coeff.evaluate(values)
-                if c == 0:
-                    continue
-                if spec.companion is None:
-                    term = sm.q * c
-                    bases = sm.bases
-                else:
-                    key = ("qm", e, i)
-                    if cache is not None and key in cache:
-                        qm, bases = cache[key]
-                    else:
-                        qm = evaluate_at_companion(sm.q, spec.companion)
-                        bases = tuple(
-                            evaluate_at_companion(b, spec.companion) for b in sm.bases
-                        )
-                        if cache is not None:
-                            cache[key] = (qm, bases)
-                    term = qm * c
-                for k, n in enumerate(values):
-                    term = term * _pow_cached(bases[k], n, cache, ("b", e, i, k))
-                total = total + term
-            out.append(total)
-        return out
-    raise StructureError(f"cannot evaluate object of type {type(spec).__name__}")
+        out.append(total)
+    return out if isinstance(spec, SystemSpec) else out[0]
 
 
 def is_solution(spec, values, cache: dict | None = None) -> bool:
@@ -130,105 +114,125 @@ def is_solution(spec, values, cache: dict | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense solution grids for scalar-ring inputs
+# dense solution grids
 
 
-def _scalar_equations(spec):
-    """Normalize to [[(coeff|None, q, bases)]] with plain Poly entries."""
-    if isinstance(spec, ScalarEde):
-        return [[(None, q, spec.bases[i]) for i, q in enumerate(spec.q)]]
-    return [
-        [(sm.coeff, sm.q, sm.bases) for sm in eq]
-        for eq in spec.equations
-    ]
+def _factor(elem) -> tuple:
+    """(componentwise max exponents, [(k, b, exponents, coeff)]) of a ring element."""
+    rows = ((elem,),) if isinstance(elem, Poly) else elem.rows
+    terms = [(k, b, e, c) for k, row in enumerate(rows) for b, f in enumerate(row) for e, c in f.terms.items()]
+    return tuple(max((e[v] for _, _, e, _ in terms), default=0) for v in range(elem.num_vars)), terms
 
 
-def _shift_multiply(arr, ext, poly, canvas):
-    """arr (extent ext) times poly, on a fresh full-size canvas.
+def _reduce(arr, p: int, top: int):
+    """Reduce entries in [0, top] mod p in place.
 
-    Entries stay reduced into [0, p); the accumulation before the final
-    reduction is bounded by terms * (p-1)^2, far inside int16.
+    Subtracting p * 2^j wherever it fits, largest j first, costs three cheap
+    array passes per halving, far less than an integer remainder.
     """
-    p = poly.field.p
-    out = np.zeros(canvas, dtype=np.int16)
-    if all(e > 0 for e in ext) and poly.terms:
-        new_ext = tuple(
-            e + m for e, m in zip(ext, poly.max_exponents())
+    if top < p:
+        return
+    m = p << ((top // p).bit_length() - 1)
+    while m >= p:
+        arr -= (arr >= m) * arr.dtype.type(m)
+        m >>= 1
+
+
+def _times(arr, terms, p: int, top: int):
+    """Batched arr @ factor for (B, n, n, *canvas) arrays, reduced mod p.
+
+    Each term of entry (k, b) adds column k, scaled and shifted by the term,
+    to column b; the canvas holds every product of the sweep, so the part
+    shifted off its end is zero.  ``top`` bounds the unreduced sums.
+    """
+    out = np.zeros_like(arr)
+    canvas = arr.shape[3:]
+    for k, b, exps, coeff in terms:
+        src = arr[(slice(None), slice(None), k) + tuple(slice(0, c - e) for c, e in zip(canvas, exps))]
+        out[(slice(None), slice(None), b) + tuple(slice(e, None) for e in exps)] += (
+            src if coeff == 1 else src * coeff
         )
-        if any(n > c for n, c in zip(new_ext, canvas)):
-            raise AssertionError("canvas undersized for the sweep")
-        src = arr[tuple(slice(0, e) for e in ext)]
-        for exps, coeff in poly.terms.items():
-            dst = out[tuple(slice(o, o + e) for o, e in zip(exps, ext))]
-            np.add(dst, src * coeff, out=dst)
-        region = out[tuple(slice(0, e) for e in new_ext)]
-        np.remainder(region, p, out=region)
-    else:
-        new_ext = (0,) * len(canvas)
-    return out, new_ext
+    _reduce(out, p, top)
+    return out
 
 
-def _equation_zero_grid(field, r, t, summands, n_max: int):
+def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     """Boolean grid over [0, n_max)^t: True where the equation vanishes.
 
-    Walks the grid in odometer order keeping, per summand, the running
-    dense product q_i * prod_k P_ik^{n_k} for the current index prefix.
+    Per summand the running product q_i * prod_k P_ik^{n_k} is a batch of
+    (n, n, *canvas) arrays, the canvas fitting the largest product of the
+    sweep, so every array of one equation has the same shape.  Axes 0..t-3
+    advance in odometer order, one prefix at a time; consecutive indices on
+    axis t-2 are gathered into batches of at most BATCH_CELLS cells, and
+    each batch walks the last axis by batched shift-adds, testing all its
+    points at once: the coefficients times the arrays, summed, reduced,
+    any.  A single unknown gets a leading axis of extent 1, so the batch
+    axis always exists.
     """
-    p = field.p
-    canvas = []
-    for v in range(r):
-        need = 1
-        for (_, q, bases) in summands:
-            ext = q.max_exponents()[v] + (n_max - 1) * sum(
-                b.max_exponents()[v] for b in bases
-            )
-            need = max(need, ext + 1)
-        canvas.append(need)
-    canvas = tuple(canvas)
-    start = []
-    for (_, q, _) in summands:
-        arr = np.zeros(canvas, dtype=np.int16)
-        for exps, coeff in q.terms.items():
-            arr[exps] = coeff
-        ext = tuple(e + 1 for e in q.max_exponents()) if q.terms else (0,) * r
-        start.append((arr, ext))
-    result = np.zeros((n_max,) * t, dtype=bool)
+    # a summand whose constant q is zero vanishes everywhere
+    summands = [sm for sm in summands if not sm[1].is_zero()]
+    if not summands:
+        return np.ones((n_max,) * t, dtype=bool)
+    shape = (n_max,) * t if t > 1 else (1, n_max)
+    lead, last = len(shape) - t, len(shape) - 1
+    q0 = summands[0][1]
+    n, r = (1 if isinstance(q0, Poly) else q0.n), q0.num_vars
+    starts = [_factor(q) for _, q, _ in summands]
+    factors = [[_factor(b) for b in bases] for _, _, bases in summands]
+    canvas = tuple(
+        max(top[v] + 1 + (n_max - 1) * sum(f[0][v] for f in fs) for (top, _), fs in zip(starts, factors))
+        for v in range(r)
+    )
+    factors = [[None] * lead + [f[1] for f in fs] for fs in factors]
+    # largest unreduced sum: one product column, or the test's sum over summands
+    widest = max(max(Counter(b for _, b, _, _ in f).values(), default=0) for fs in factors for f in fs[lead:])
+    bound = (p - 1) ** 2 * max(len(summands), widest)
+    dtype = np.int16 if bound < 1 << 15 else np.int64
+    batch_cap = max(1, BATCH_CELLS // (n * n * math.prod(canvas)))
+    residues = list(itertools.product(range(p), repeat=t))
+    tables = [
+        np.array([1 if c is None else c.evaluate(x) for x in residues], dtype).reshape((1,) * lead + (p,) * t)
+        for c, _, _ in summands
+    ]
+    result = np.zeros(shape, dtype=bool)
 
-    def test(states, idx):
-        top = tuple(max(ext[v] for _, ext in states) for v in range(r))
-        acc = np.zeros(top if all(top) else (1,) * r, dtype=np.int32)
-        for (coeff, _, _), (arr, ext) in zip(summands, states):
-            c = 1 if coeff is None else coeff.evaluate(idx)
-            if c == 0 or not all(ext):
-                continue
-            view = acc[tuple(slice(0, e) for e in ext)]
-            np.add(view, arr[tuple(slice(0, e) for e in ext)] * c, out=view)
-        np.remainder(acc, p, out=acc)
-        result[idx] = not acc.any()
+    def chain(batch, idx, d0):
+        size = len(batch)
+        arrs = [np.concatenate([m[i] for m in batch]) for i in range(len(summands))]
+        rows = np.arange(d0, d0 + size) % p
+        cols = [tab[tuple(x % p for x in idx)][rows].T.reshape((p, size) + (1,) * (2 + r)) for tab in tables]
+        for e in range(shape[last]):
+            acc = sum(arr * col[e % p] for arr, col in zip(arrs, cols))
+            _reduce(acc, p, bound)
+            result[idx + (slice(d0, d0 + size), e)] = ~acc.reshape(size, -1).any(axis=1)
+            if e < shape[last] - 1:
+                arrs = [_times(a, fs[last], p, bound) for a, fs in zip(arrs, factors)]
 
-    def sweep(states, k, idx):
-        if k == t:
-            test(states, idx)
-            return
-        cur = [(arr.copy(), ext) for arr, ext in states]
-        for d in range(n_max):
-            sweep(cur, k + 1, idx + (d,))
-            if d < n_max - 1:
-                for i, ((arr, ext), (_, _, bases)) in enumerate(zip(cur, summands)):
-                    cur[i] = _shift_multiply(arr, ext, bases[k], canvas)
+    def walk(cur, idx):
+        k = len(idx)
+        batch = []
+        for d in range(shape[k]):
+            if k < last - 1:
+                walk(cur, idx + (d,))
+            else:
+                batch.append(cur)
+                if len(batch) == batch_cap or d == shape[k] - 1:
+                    chain(batch, idx, d + 1 - len(batch))
+                    batch = []
+            if d < shape[k] - 1:
+                cur = [_times(a, fs[k], p, bound) for a, fs in zip(cur, factors)]
 
-    sweep(start, 0, ())
-    return result
+    one = np.zeros((1, n, n) + canvas, dtype)
+    one[(0, range(n), range(n)) + (0,) * r] = 1
+    walk([_times(one, terms, p, bound) for _, terms in starts], ())
+    return result.reshape((n_max,) * t)
 
 
-def _scalar_solution_grid(spec, n_max: int):
-    field = spec.field
-    r = spec.r
-    t = spec.t
-    grid = None
-    for summands in _scalar_equations(spec):
-        g = _equation_zero_grid(field, r, t, summands, n_max)
-        grid = g if grid is None else (grid & g)
+def _solution_grid(spec, n_max: int, equations=None):
+    """Boolean grid over [0, n_max)^t: True where every equation vanishes."""
+    grid = np.ones((n_max,) * spec.t, dtype=bool)
+    for summands in equations or _equations(spec):
+        grid &= _equation_zero_grid(spec.field.p, spec.t, summands, n_max)
     return grid
 
 
@@ -273,53 +277,54 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
-def _spec_shape(spec):
-    if isinstance(spec, (ScalarEde, MatrixEde, SystemSpec)):
-        return spec.field, spec.t
-    raise StructureError(f"cannot compare object of type {type(spec).__name__}")
-
-
 def compare(spec, automaton, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
     """Check every word of length <= max_len against the automaton.
 
     A word mismatches when the automaton's verdict differs from the
-    literal evaluation at the decoded exponent tuple.
+    literal evaluation at the decoded exponent tuple.  ``automaton`` is an
+    :class:`fsa.Automaton`, run on all words of a length at once, or any
+    object with ``p``, ``t`` and ``accepts(word)``, asked word by word.
+    Mismatches come by length, then in ``itertools.product`` letter order.
     """
-    field, t = _spec_shape(spec)
-    p = field.p
+    equations = _equations(spec)
+    p, t = spec.field.p, spec.t
     if automaton.p != p or automaton.t != t:
         raise StructureError("automaton alphabet does not match the equation")
+    if max_len < 0:
+        raise StructureError("max_len must be a natural number")
     letters = alphabet(p, t)
     per_len = len(letters)
     total = sum(per_len**l for l in range(max_len + 1))
     if total > word_cap:
         raise CapacityError(f"{total} words exceed cap {word_cap}", discovered=total)
 
-    scalar_ring = isinstance(spec, ScalarEde) or (
-        isinstance(spec, SystemSpec) and spec.companion is None
-    )
-    if scalar_ring:
-        grid = _scalar_solution_grid(spec, p**max_len)
-
-        def solves(values):
-            return bool(grid[values])
-
-    else:
-        cache: dict = {}
-        memo: dict = {}
-
-        def solves(values):
-            got = memo.get(values)
-            if got is None:
-                got = memo[values] = is_solution(spec, values, cache)
-            return got
-
+    n_max = p**max_len
+    grid = _solution_grid(spec, n_max, equations).reshape(-1)
+    # the flat grid index a letter adds as the least significant digit
+    shifts = np.array(letters, dtype=np.int64) @ (n_max ** np.arange(t - 1, -1, -1, dtype=np.int64))
+    dense = isinstance(automaton, fsa.Automaton)
+    if dense:
+        table = np.array(automaton.transitions, dtype=np.int64)
+        finals = np.zeros(automaton.num_states, dtype=bool)
+        finals[list(automaton.finals)] = True
+        states = np.array([automaton.initial])
+    index = np.zeros(1, dtype=np.int64)
     report = VerificationReport(max_len=max_len, checked=total)
     for length in range(max_len + 1):
-        for combo in itertools.product(letters, repeat=length):
-            word = DigitWord(p, t, combo)
-            sol = solves(word.decode())
-            acc = automaton.accepts(word)
-            if sol != acc:
-                report.mismatches.append(Mismatch(word, sol, acc))
+        if length:
+            # every word of the last level, extended by each letter in turn
+            index = (index[:, None] + shifts * p ** (length - 1)).reshape(-1)
+            if dense:
+                states = table[states].reshape(-1)
+        solved = grid[index]
+        if dense:
+            accepted = finals[states]
+        else:
+            words = itertools.product(letters, repeat=length)
+            accepted = np.array([automaton.accepts(DigitWord(p, t, w)) for w in words], dtype=bool)
+        for w in np.flatnonzero(solved != accepted):
+            combo = tuple(letters[x] for x in np.unravel_index(w, (per_len,) * length))
+            report.mismatches.append(
+                Mismatch(DigitWord(p, t, combo), bool(solved[w]), bool(accepted[w]))
+            )
     return report

@@ -148,8 +148,9 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
     under section letter y is the sum over its triples (a, b, f) of
     section(entry a * f, y).
 
-    Without ``accept``, ``bases[i]`` is the echelon basis of state i, each
-    row decoded back to a tuple of E polynomials.  ``accept`` maps each
+    Without ``accept``, ``bases`` lazily yields the echelon basis of each
+    state, each row decoded back to a tuple of E polynomials, so only one
+    state's decoded rows are alive at a time.  ``accept`` maps each
     entry to its acceptance group; then ``finals`` holds the states whose
     rows sum to zero within every group (the pre-initial state is never
     among them: the empty word is the caller's to decide).
@@ -214,4 +215,4 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
     def decode(key):
         return [tuple(poly(j, row[sl]) for j, sl in enumerate(slices)) for row in basis(key).tolist()]
 
-    return [decode(key) for key in keys], transitions
+    return (decode(key) for key in keys), transitions

@@ -103,6 +103,36 @@ def _coeff_at(sm: Summand, point, p: int) -> int:
     return sm.coeff.evaluate(point)
 
 
+def _peel_parts(sys: SystemSpec, equation) -> tuple:
+    """Per summand (summand, q, bases, next bases P^p): the prefix-independent
+    parts of peeling, companion elements evaluated at the companion matrix.
+    """
+    comp = sys.companion
+    parts = []
+    for sm in equation:
+        if comp is None:
+            parts.append((sm, sm.q, sm.bases, tuple(b.frobenius() for b in sm.bases)))
+        else:
+            q = evaluate_at_companion(sm.q, comp)
+            mats = tuple(evaluate_at_companion(b, comp) for b in sm.bases)
+            parts.append((sm, q, mats, tuple(m**sys.field.p for m in mats)))
+    return tuple(parts)
+
+
+def _peel(sys: SystemSpec, parts, prefix):
+    new_q = []
+    for sm, q, bases, _ in parts:
+        q = q * _coeff_at(sm, prefix, sys.field.p)
+        for base, d in zip(bases, prefix):
+            if d:
+                q = q * base**d
+        new_q.append(q)
+    new_bases = tuple(part[3] for part in parts)
+    if sys.companion is None:
+        return scalar.ScalarEde(sys.field, sys.r, sys.t, tuple(new_q), new_bases)
+    return MatrixEde(sys.companion, tuple(new_q), new_bases)
+
+
 def peel_equation(sys: SystemSpec, equation, prefix):
     """The coefficient-free equation governing the digits above ``prefix``.
 
@@ -110,41 +140,20 @@ def peel_equation(sys: SystemSpec, equation, prefix):
     with bases P_ik^p; same shape with matrices in the companion ring.
     """
     prefix = digits.check_letter(prefix, sys.field.p, sys.t)
-    p = sys.field.p
-    if sys.companion is None:
-        new_q = []
-        new_bases = []
-        for sm in equation:
-            c = _coeff_at(sm, prefix, p)
-            q = sm.q * c
-            for base, d in zip(sm.bases, prefix):
-                if d:
-                    q = q * base**d
-            new_q.append(q)
-            new_bases.append(tuple(base.frobenius() for base in sm.bases))
-        return scalar.ScalarEde(sys.field, sys.r, sys.t, tuple(new_q), tuple(new_bases))
-    spec = sys.companion
-    new_q = []
-    new_bases = []
-    for sm in equation:
-        c = _coeff_at(sm, prefix, p)
-        q = evaluate_at_companion(sm.q, spec) * c
-        base_mats = tuple(evaluate_at_companion(b, spec) for b in sm.bases)
-        for base, d in zip(base_mats, prefix):
-            if d:
-                q = q * base**d
-        new_q.append(q)
-        new_bases.append(tuple(m**p for m in base_mats))
-    return MatrixEde(spec, tuple(new_q), tuple(new_bases))
+    return _peel(sys, _peel_parts(sys, equation), prefix)
 
 
 def peel_last_digits(sys: SystemSpec) -> list:
-    """[(prefix letter, peeled equations)] for all p^t last-digit tuples."""
-    out = []
-    for prefix in digits.alphabet(sys.field.p, sys.t):
-        out.append(
-            (prefix, tuple(peel_equation(sys, eq, prefix) for eq in sys.equations))
-        )
+    """[(prefix letter, peeled equations)] for all p^t last-digit tuples.
+
+    Prefix-independent parts are computed once per equation, C' once per system.
+    """
+    parts = [_peel_parts(sys, eq) for eq in sys.equations]
+    out = [(x, tuple(_peel(sys, pc, x) for pc in parts)) for x in digits.alphabet(sys.field.p, sys.t)]
+    if sys.companion is not None:
+        cprime = out[0][1][0].conjugator
+        for ede in (ede for _, edes in out for ede in edes):
+            vars(ede)["conjugator"] = cprime  # fill the cached property
     return out
 
 

@@ -155,6 +155,23 @@ def test_verify_bundled_specs(capsys, spec):
     assert doc["mismatches"] == []
 
 
+SCALAR_SPECS = [
+    str(path) for path in sorted(SPECS.glob("*.json"))
+    if json.loads(path.read_text()).get("ring", "scalar") == "scalar"
+]
+
+
+@pytest.mark.parametrize("spec", SCALAR_SPECS)
+def test_verify_scalar_specs_at_length_five(capsys, spec):
+    code, out, _ = run(capsys, "verify", spec, "--max-len", "5")
+    assert code == 0
+    doc = json.loads(out)
+    obj = json.loads(pathlib.Path(spec).read_text())
+    assert doc["max_len"] == 5
+    assert doc["checked"] == sum(obj["p"] ** (obj["t"] * l) for l in range(6))
+    assert doc["mismatches"] == []
+
+
 def test_verify_detects_a_corrupted_build(capsys, monkeypatch):
     real = systems.solve_system
 
@@ -294,3 +311,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "yes"
+
+
+# ------------------------------------------------------------------- parser
+
+def test_one_parser_serves_successive_calls_without_leaking(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = run(capsys, "verify", THETA_EQ, "--max-len", "2")
+    assert (code, json.loads(out)["max_len"]) == (0, 2)
+    code, out, _ = run(capsys, "verify", THETA_EQ)
+    assert (code, json.loads(out)["max_len"]) == (0, 4)
+    code, out, _ = run(capsys, "verify", COMPANION)
+    assert (code, json.loads(out)["max_len"]) == (0, 3)
+    code, out, _ = run(capsys, "build", ZERO_EQ, "--out", "dot")
+    assert out.startswith("digraph")
+    code, out, _ = run(capsys, "build", ZERO_EQ)
+    assert json.loads(out)["states"]
+    code, _, _ = run(capsys, "build", THETA_EQ, "--state-cap", "1")
+    assert code == 3
+    code, _, _ = run(capsys, "build", THETA_EQ)
+    assert code == 0
+    code, out, _ = run(capsys, "enum", EVEN_N, "--max-len", "1")
+    assert out.split() == ["0"]
+    code, out, _ = run(capsys, "enum", EVEN_N)
+    assert out.split() == [str(n) for n in range(0, 16, 2)]

@@ -12,7 +12,6 @@ from edesolver.digits import (
     digit_length,
     encode,
     format_word,
-    letter_exponents,
     parse_word,
 )
 from edesolver.errors import CapacityError, StructureError
@@ -39,12 +38,6 @@ def test_check_letter():
         check_letter((2,), 2, 1)
     with pytest.raises(StructureError):
         check_letter((0,), 2, 2)
-
-
-def test_letter_exponents_is_the_identity_on_digits():
-    assert letter_exponents((0, 0), 3) == (0, 0)
-    assert letter_exponents((1,), 2) == (1,)
-    assert letter_exponents((2, 1), 3) == (2, 1)
 
 
 def test_digit_length():

@@ -1,26 +1,33 @@
 """Brute-force evaluation and exhaustive language comparison."""
 
+import itertools
 import json
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import suites
-from edesolver import oracle, scalar, systems
+from edesolver import cli, companion, oracle, scalar, systems
 from edesolver.companion import MatrixEde, PolyMatrix, companion_matrix
-from edesolver.digits import DigitWord
+from edesolver.digits import DigitWord, alphabet
 from edesolver.errors import CapacityError, StructureError
 from edesolver.fsa import Automaton
 from edesolver.gfpoly import Poly, PrimeField
 from edesolver.oracle import (
+    Mismatch,
     VerificationReport,
-    _scalar_solution_grid,
+    _solution_grid,
     compare,
     evaluate,
     is_solution,
 )
 from edesolver.scalar import ScalarEde, build_automaton
 from edesolver.systems import Summand, SystemSpec
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 F2 = PrimeField(2)
 THETA = Poly.variable(F2, 1, 0)
@@ -115,17 +122,42 @@ def test_evaluate_never_calls_the_engine_operators(monkeypatch):
 
 
 def test_compare_never_calls_the_engine_operators(monkeypatch):
-    aut = build_automaton(EDE_THETA)  # built before the patch
+    ede = suites.matrix_suite()[1]
+    spec = cli.load_spec(str(SPECS / "companion_power.json"))
+    # built before the patch
+    machines = [
+        (EDE_THETA, build_automaton(EDE_THETA), 4),
+        (ede, companion.build_automaton(ede), 4),
+        (spec, systems.solve_system(spec), 3),
+    ]
     monkeypatch.setattr(Poly, "section", _forbidden)
     monkeypatch.setattr(Poly, "frobenius", _forbidden)
-    report = compare(EDE_THETA, aut, 4)
-    assert report.ok
+    monkeypatch.setattr(PolyMatrix, "section", _forbidden)
+    monkeypatch.setattr(PolyMatrix, "frobenius", _forbidden)
+    monkeypatch.setattr(scalar, "step", _forbidden)
+    monkeypatch.setattr(companion, "step", _forbidden)
+    for spec, aut, max_len in machines:
+        assert compare(spec, aut, max_len).ok
 
 
 # -------------------------------------------------------------- dense grids
 
+def _random_companion_system(rng, spec, t, s_max=2):
+    """A one-equation companion system with coefficient polynomials."""
+
+    def xi():
+        return tuple(suites.random_poly(rng, spec.field, spec.r) for _ in range(spec.n))
+
+    summands = []
+    for _ in range(rng.randint(1, s_max)):
+        coeff = suites.random_poly(rng, spec.field, t) if rng.random() < 0.5 else None
+        summands.append(systems.Summand(coeff, xi(), tuple(xi() for _ in range(t))))
+    return SystemSpec(spec.field, spec.r, t, spec, (tuple(summands),))
+
+
 def test_grid_matches_per_word_evaluation():
     rng = random.Random(9)
+    cases = []
     for _ in range(8):
         p = rng.choice((2, 3))
         field = PrimeField(p)
@@ -136,22 +168,41 @@ def test_grid_matches_per_word_evaluation():
             tuple(suites.random_poly(rng, field, 1) for _ in range(t))
             for _ in range(s)
         )
-        ede = ScalarEde(field, 1, t, q, bases)
-        n_max = p**3
-        grid = _scalar_solution_grid(ede, n_max)
+        cases.append((ScalarEde(field, 1, t, q, bases), p**3))
+    for r, t in ((2, 2), (1, 3), (2, 3)):
+        field = PrimeField(rng.choice((2, 3)))
+        q = tuple(suites.random_poly(rng, field, r) for _ in range(2))
+        bases = tuple(tuple(suites.random_poly(rng, field, r) for _ in range(t)) for _ in q)
+        cases.append((ScalarEde(field, r, t, q, bases), field.p ** (3 if t == 2 else 2)))
+    for spec in (suites.companion_n2_f2(), suites.companion_n3_f2()):
+        for t in (1, 2):
+            cases.append((_random_companion_system(rng, spec, t), 2 ** (4 // t)))
+    cases.append((suites.matrix_suite()[2], 16))
+    for spec, n_max in cases:
+        grid = _solution_grid(spec, n_max)
         cache = {}
-        import itertools
-
-        for values in itertools.product(range(n_max), repeat=t):
-            assert bool(grid[values]) == is_solution(ede, values, cache), (
-                ede, values,
+        for values in itertools.product(range(n_max), repeat=spec.t):
+            assert bool(grid[values]) == is_solution(spec, values, cache), (
+                spec, values,
             )
+
+
+def test_grid_is_exact_for_large_primes():
+    # (1 + 190) * (190x + 189)^n vanishes for every n over F_191, but products
+    # of two residues pass 2^15 there, so an int16 grid would wrap
+    field = PrimeField(191)
+    x, one = Poly.variable(field, 1, 0), Poly.one(field, 1)
+    base = x * 190 + one * 189
+    ede = ScalarEde(field, 1, 1, (one, one * 190), ((base,), (base,)))
+    assert _solution_grid(ede, 191).all()
+    ede = ScalarEde(field, 1, 1, (one, one * 189), ((base,), (base,)))
+    assert not _solution_grid(ede, 191).any()
 
 
 def test_grid_handles_zero_bases_and_zero_constants():
     # 0 * 0^n + 1 * 0^n = 0 exactly when n > 0
     ede = ScalarEde(F2, 1, 1, (ZERO, ONE), ((ZERO,), (ZERO,)))
-    grid = _scalar_solution_grid(ede, 8)
+    grid = _solution_grid(ede, 8)
     assert not grid[0]
     assert all(bool(grid[n]) for n in range(1, 8))
 
@@ -222,3 +273,131 @@ def test_report_serialization():
 def test_report_ok_property():
     assert VerificationReport(max_len=1, checked=3).ok
     assert not VerificationReport(max_len=1, checked=3, mismatches=[object()]).ok
+
+
+# ------------------------------------------ differential: per-word reference
+
+
+def reference_compare(spec, automaton, max_len):
+    """The per-word comparison: literal evaluation and ``accepts`` for every word."""
+    p, t = spec.field.p, spec.t
+    letters = alphabet(p, t)
+    total = sum(len(letters) ** l for l in range(max_len + 1))
+    report = VerificationReport(max_len=max_len, checked=total)
+    cache = {}
+    for length in range(max_len + 1):
+        for combo in itertools.product(letters, repeat=length):
+            word = DigitWord(p, t, combo)
+            sol = is_solution(spec, word.decode(), cache)
+            acc = automaton.accepts(word)
+            if sol != acc:
+                report.mismatches.append(Mismatch(word, sol, acc))
+    return report
+
+
+def complemented(aut):
+    finals = set(range(aut.num_states)) - set(aut.finals)
+    return Automaton(aut.p, aut.t, aut.labels, aut.transitions, aut.initial, finals)
+
+
+class AcceptsOnly:
+    """An automaton known only by ``p``, ``t`` and ``accepts``."""
+
+    def __init__(self, aut):
+        self.p, self.t, self._aut = aut.p, aut.t, aut
+
+    def accepts(self, word):
+        return self._aut.accepts(word)
+
+
+def assert_same_reports(spec, aut, max_len):
+    assert compare(spec, aut, max_len).as_dict() == reference_compare(spec, aut, max_len).as_dict()
+
+
+def _bundled():
+    out = []
+    for path in sorted(SPECS.glob("*.json")):
+        spec = cli.load_spec(str(path))
+        out.append((path.stem, spec, systems.solve_system(spec)))
+    return out
+
+
+@pytest.mark.parametrize("index", range(len(suites.scalar_suite())))
+def test_compare_matches_reference_on_scalar_suite(index):
+    ede = suites.scalar_suite()[index]
+    aut = build_automaton(ede)
+    assert_same_reports(ede, aut, 4)
+    assert_same_reports(ede, complemented(aut), 3)
+
+
+@pytest.mark.parametrize("index", range(len(suites.matrix_suite())))
+def test_compare_matches_reference_on_matrix_suite(index):
+    ede = suites.matrix_suite()[index]
+    aut = companion.build_automaton(ede)
+    assert_same_reports(ede, aut, 4)
+    assert_same_reports(ede, complemented(aut), 3)
+
+
+def test_compare_matches_reference_on_bundled_specs():
+    for _, spec, aut in _bundled():
+        for max_len in (0, 1, 3):
+            assert_same_reports(spec, aut, max_len)
+            assert_same_reports(spec, complemented(aut), max_len)
+            assert_same_reports(spec, AcceptsOnly(complemented(aut)), max_len)
+
+
+def test_compare_accepts_only_automaton_matches_reference():
+    ede = suites.scalar_suite()[16]  # p = 3, t = 2
+    aut = build_automaton(ede)
+    for machine in (aut, complemented(aut)):
+        duck = AcceptsOnly(machine)
+        assert compare(ede, duck, 3).as_dict() == compare(ede, machine, 3).as_dict()
+        assert_same_reports(ede, duck, 3)
+
+
+def test_compare_at_length_zero_checks_the_empty_word():
+    for _, spec, aut in _bundled():
+        report = compare(spec, complemented(aut), 0)
+        assert report.checked == 1
+        assert [m.word.letters for m in report.mismatches] == [()]
+        assert compare(spec, aut, 0).ok
+    with pytest.raises(StructureError):
+        compare(EDE_THETA, build_automaton(EDE_THETA), -1)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random system (scalar, or companion with p = 2) and a random automaton."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        spec = _random_companion_system(rng, suites.companion_n2_f2(), t)
+    else:
+        field = PrimeField(draw(st.sampled_from((2, 3))))
+        r = draw(st.integers(1, 2))
+        eqs = []
+        for _ in range(draw(st.integers(1, 2))):
+            eqs.append(tuple(
+                systems.Summand(
+                    suites.random_poly(rng, field, t) if rng.random() < 0.6 else None,
+                    suites.random_poly(rng, field, r),
+                    tuple(suites.random_poly(rng, field, r) for _ in range(t)),
+                )
+                for _ in range(rng.randint(1, 3))
+            ))
+        spec = SystemSpec(field, r, t, None, tuple(eqs))
+    p = spec.field.p
+    letters = len(alphabet(p, t))
+    states = draw(st.integers(1, 4))
+    table = [[rng.randrange(states) for _ in range(letters)] for _ in range(states)]
+    finals = {q for q in range(states) if rng.random() < 0.5}
+    aut = Automaton(p, t, [str(q) for q in range(states)], table, 0, finals)
+    max_len = draw(st.integers(0, 3 if letters <= 4 else 2))
+    return spec, aut, max_len
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+def test_compare_matches_reference_on_random_systems(case):
+    spec, aut, max_len = case
+    assert_same_reports(spec, aut, max_len)

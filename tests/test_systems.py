@@ -24,6 +24,8 @@ from edesolver.systems import (
     solves_at_zero,
 )
 
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 
@@ -155,6 +157,40 @@ def test_peel_last_digits_covers_all_prefixes():
     assert all(len(eqs) == 1 for _, eqs in out)
 
 
+def literal_peel(sys_spec, equation, prefix):
+    """Peeling written out per prefix, every power recomputed."""
+    p = sys_spec.field.p
+    new_q, new_bases = [], []
+    for sm in equation:
+        c = 1 if sm.coeff is None else sm.coeff.evaluate(prefix)
+        if sys_spec.companion is None:
+            q, mats = sm.q * c, sm.bases
+            new_bases.append(tuple(b.frobenius() for b in mats))
+        else:
+            q = companion.evaluate_at_companion(sm.q, sys_spec.companion) * c
+            mats = [companion.evaluate_at_companion(b, sys_spec.companion) for b in sm.bases]
+            new_bases.append(tuple(m**p for m in mats))
+        for m, d in zip(mats, prefix):
+            q = q * m**d
+        new_q.append(q)
+    if sys_spec.companion is None:
+        return scalar.ScalarEde(sys_spec.field, sys_spec.r, sys_spec.t, new_q, new_bases)
+    return MatrixEde(sys_spec.companion, new_q, new_bases)
+
+
+def test_peel_last_digits_equals_peel_equation_on_bundled_specs():
+    for path in sorted(SPECS.glob("*.json")):
+        sys_spec = cli.load_spec(str(path))
+        peeled = peel_last_digits(sys_spec)
+        assert [prefix for prefix, _ in peeled] == list(alphabet(sys_spec.field.p, sys_spec.t))
+        for prefix, edes in peeled:
+            assert edes == tuple(peel_equation(sys_spec, eq, prefix) for eq in sys_spec.equations)
+            assert edes == tuple(literal_peel(sys_spec, eq, prefix) for eq in sys_spec.equations)
+            if sys_spec.companion is not None:
+                cprime = companion.conjugator(sys_spec.companion)[0]
+                assert all(ede.conjugator == cprime for ede in edes)
+
+
 def test_peel_preserves_solutions_scalar():
     rng = random.Random(101)
     for _ in range(12):
@@ -284,8 +320,6 @@ def test_random_systems_agree_with_oracle():
 # the empty word spells the zero tuple, and a word d.w solves the system
 # exactly when w is accepted by the engine automaton of every equation
 # peeled at the last digit d.
-
-SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 
 def assert_matches_reference(sys_spec, max_len=4):
