@@ -36,7 +36,7 @@ from . import fsa, oracle, systems
 from .companion import CompanionSpec, conjugator
 from .digits import DigitWord, alphabet, digit_length
 from .errors import CapacityError, SingularConjugatorError, SpecFileError, StructureError
-from .gfpoly import Poly, PrimeField, parse_poly
+from .gfpoly import Poly, PrimeField, parse_int, parse_poly
 from .systems import Summand, SystemSpec
 
 ENUM_WORD_CAP = 1_000_000
@@ -173,7 +173,7 @@ def _state_cap(args) -> int:
 
 def _parse_tuple(text: str, t: int) -> tuple:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(parse_int(v) for v in text.split(","))
     except ValueError as exc:
         raise SpecFileError(f"--tuple {text!r} is not a comma-joined integer tuple") from exc
     if len(values) != t:

@@ -22,9 +22,11 @@ then apply the entrywise section operator.  A singular C' is exactly how a
 reducible or inseparable input manifests and is rejected up front.
 
 States are defined as sets of residue-matrix tuples, as in :mod:`scalar`;
-:func:`explore` flattens each tuple to its s*n^2 polynomial entries, folds
-C' into the step maps and tracks F_p-spans with the shared span engine
-(:mod:`span`).
+:func:`build_automaton` flattens each tuple to its s*n^2 polynomial
+entries, folds C' into the step maps and tracks F_p-spans with the shared
+span engine (:mod:`span`), accepting a span when the summands' matrices
+sum to zero entry by entry on it.  :func:`explore` decodes the same spans
+back into residue-matrix tuples.
 """
 
 from __future__ import annotations
@@ -428,10 +430,6 @@ def initial_state(ede: MatrixEde) -> frozenset:
     return frozenset({tuple(ede.q)})
 
 
-def state_label(state) -> str:
-    return "{" + " , ".join(sorted("(" + "; ".join(str(m) for m in t) + ")" for t in state)) + "}"
-
-
 def span_entries(ede: MatrixEde) -> tuple:
     """(start entries, acceptance groups) for :mod:`span`.
 
@@ -486,7 +484,10 @@ def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
 
 def build_automaton(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """The DFA accepting exactly the words whose decoded tuple solves the equation."""
-    keys, transitions = explore(ede, state_cap)
-    finals = {i for i, key in enumerate(keys) if is_accepting_state(key)}
-    labels = [state_label(key) for key in keys]
+    entries, groups = span_entries(ede)
+    finals, transitions = span.explore(
+        ede.field, ede.r, degree_bound(ede)[1], [entries],
+        ede.exponent_alphabet, span_moves(ede), state_cap, accept=groups,
+    )
+    labels = [str(i) for i in range(len(transitions))]
     return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals)

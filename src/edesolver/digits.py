@@ -122,16 +122,3 @@ def encode(values, p: int, width: int, length: int | None = None) -> DigitWord:
 def format_word(word: DigitWord) -> str:
     """Text form "d,d;d,d" with ';' between letters; the empty word is ""."""
     return ";".join(",".join(str(d) for d in letter) for letter in word.letters)
-
-
-def parse_word(text: str, p: int, width: int) -> DigitWord:
-    text = text.strip()
-    if not text:
-        return DigitWord(p, width, ())
-    letters = []
-    for part in text.split(";"):
-        try:
-            letters.append(tuple(int(d) for d in part.strip().split(",")))
-        except ValueError as exc:
-            raise StructureError(f"cannot parse letter {part!r}") from exc
-    return DigitWord(p, width, tuple(letters))

@@ -52,7 +52,8 @@ def explore_dfa(letters, initial_key, delta, state_cap: int = DEFAULT_STATE_CAP)
 class Automaton:
     """A complete DFA over the p^t digit letters.
 
-    ``labels`` carry provenance strings for debugging and DOT tooltips;
+    ``labels`` name the states in the JSON export and DOT tooltips (the
+    raw state ids of an engine build, the merged ids after ``minimize``);
     they play no role in the semantics.
     """
 

@@ -234,15 +234,6 @@ class Poly:
             return MINUS_INFINITY
         return max(sum(e) for e in self.terms)
 
-    def max_exponents(self) -> tuple:
-        """Componentwise max of the exponent vectors (zeros if f = 0)."""
-        out = [0] * self.num_vars
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v > out[i]:
-                    out[i] = v
-        return tuple(out)
-
     def frobenius(self) -> "Poly":
         """f(x^p), which equals f**p since the coefficients live in F_p."""
         p = self.field.p
@@ -340,11 +331,20 @@ def format_poly(f: Poly) -> str:
     return " + ".join(parts)
 
 
+def parse_int(text: str) -> int:
+    """``int`` restricted to ASCII digits with an optional leading '-'."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(text)
+
+
 def parse_poly(text: str, field: PrimeField, num_vars: int) -> Poly:
     """Inverse of :func:`format_poly`.
 
     Lenient about whitespace and non-canonical coefficients (they are
-    reduced mod p and zero terms dropped), strict about arity.
+    reduced mod p and zero terms dropped), strict about arity and about
+    digits (ASCII only, see :func:`parse_int`).
     """
     text = text.strip()
     if text == "0" or not text:
@@ -360,8 +360,8 @@ def parse_poly(text: str, field: PrimeField, num_vars: int) -> Poly:
         if not sep:
             raise StructureError(f"term {chunk!r} is missing ':'")
         try:
-            coeff = int(head)
-            exps = tuple(int(e) for e in tail.split(",")) if tail else ()
+            coeff = parse_int(head)
+            exps = tuple(parse_int(e) for e in tail.split(",")) if tail else ()
         except ValueError as exc:
             raise StructureError(f"cannot parse term {chunk!r}") from exc
         if len(exps) != num_vars:

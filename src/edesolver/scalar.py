@@ -21,9 +21,12 @@ member tuple sums to zero, which by the section operator's faithfulness
 happens exactly when the equation holds at the decoded exponent tuple.
 Sections divide degrees by p, so residues stay inside a fixed degree box.
 The step is F_p-linear and acceptance is a linear condition, so
-:func:`explore` tracks the F_p-span of each set instead, through the span
-engine shared with the companion rings (:mod:`span`); the language is the
-same and the reachable spans are far fewer than the reachable sets.
+:func:`build_automaton` tracks the F_p-span of each set instead, through
+the span engine shared with the companion rings (:mod:`span`): a span
+accepts when it lies in the kernel of the map summing the components.  The
+language is the same and the reachable spans are far fewer than the
+reachable sets.  :func:`explore` decodes the same spans back into residue
+tuples, to which the set predicates apply as-is.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property
 
 from . import digits, fsa, span
 from .errors import StructureError
-from .gfpoly import Poly, PrimeField, format_poly
+from .gfpoly import Poly, PrimeField
 
 
 @dataclass(frozen=True)
@@ -160,14 +163,6 @@ def initial_state(ede: ScalarEde) -> frozenset:
     return frozenset({tuple(ede.q)})
 
 
-def _residues_label(residues) -> str:
-    return "(" + "; ".join(format_poly(f) for f in residues) + ")"
-
-
-def state_label(state) -> str:
-    return "{" + " , ".join(sorted(_residues_label(t) for t in state)) + "}"
-
-
 def span_entries(ede: ScalarEde) -> tuple:
     """(start entries, acceptance groups) for :mod:`span`: one entry per summand, all summed."""
     return ede.q, (0,) * ede.s
@@ -196,7 +191,10 @@ def explore(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
 
 def build_automaton(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """The DFA over exponent letters accepting exactly the solution words."""
-    keys, transitions = explore(ede, state_cap)
-    finals = {i for i, key in enumerate(keys) if is_accepting_state(key)}
-    labels = [state_label(key) for key in keys]
+    entries, groups = span_entries(ede)
+    finals, transitions = span.explore(
+        ede.field, ede.r, degree_bound(ede)[1], [entries],
+        ede.exponent_alphabet, span_moves(ede), state_cap, accept=groups,
+    )
+    labels = [str(i) for i in range(len(transitions))]
     return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals)

@@ -119,6 +119,17 @@ def test_check_tuple_syntax(capsys):
     assert code == 2
 
 
+def test_only_ascii_digits_are_integers(tmp_path, capsys):
+    code, _, err = run(capsys, "check", THETA_EQ, "--tuple", "\uff11")  # fullwidth 1
+    assert code == 2
+    assert "--tuple" in err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 3, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:1_0"}]}]}))
+    code, _, err = run(capsys, "build", str(bad))
+    assert code == 2
+    assert "equations[0].summands[0]" in err
+
+
 # --------------------------------------------------------------------- enum
 
 def test_enum_theta(capsys):
