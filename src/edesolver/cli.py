@@ -165,7 +165,7 @@ def _state_cap(args) -> int:
     env = os.environ.get("EDE_STATE_CAP")
     if env:
         try:
-            return int(env)
+            return parse_int(env)
         except ValueError as exc:
             raise SpecFileError(f"EDE_STATE_CAP={env!r} is not an integer") from exc
     return fsa.DEFAULT_STATE_CAP
@@ -184,7 +184,7 @@ def _parse_tuple(text: str, t: int) -> tuple:
 
 
 def _natural(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("spec", help="path to a JSON equation spec")
         sp.add_argument(
-            "--state-cap", type=int, default=None,
+            "--state-cap", type=parse_int, default=None,
             help="max automaton states (default: EDE_STATE_CAP or "
             f"{fsa.DEFAULT_STATE_CAP})",
         )

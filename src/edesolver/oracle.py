@@ -8,20 +8,20 @@ automaton is evidence for the construction rather than for itself.
 
 ``compare`` checks every word up to a length bound.  One dense kernel
 tabulates the solution set over the decoded exponent grid [0, p^max_len)^t
-for scalar and companion rings alike: a ring element is an (n, n, *canvas)
-array mod p (n = 1 for a scalar ring), the canvas fitting every product of
-the sweep, and multiplying by a base adds one shifted copy per term:
-literal multiplication with no characteristic-p shortcuts, in batches of at
-most ``BATCH_CELLS`` cells.  Words are swept in level order (length l+1 is
-length l extended by every letter), so a whole level's automaton states and
-grid indices are two arrays, and word objects are built only for mismatches.
+for scalar and companion rings alike: a ring element is an (n, n, *extent)
+array mod p (n = 1 for a scalar ring) that grows with its degree, and a
+product by a base adds one shifted copy per term, reduced only where the
+base's coefficients can reach p: literal multiplication with no shortcuts
+of characteristic p, in batches of at most ``BATCH_CELLS`` cells.  Words
+are swept in level order (length l+1 is length l extended by every letter),
+so a level's automaton states and grid indices are two arrays, and word
+objects are built only for mismatches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,9 +35,9 @@ from .scalar import ScalarEde
 from .systems import SystemSpec
 
 DEFAULT_WORD_CAP = 500_000
-# Largest number of cells (batch size times n^2 times the canvas) in one
-# batch of the solution-grid sweep: bigger batches save little time and
-# cost memory.
+# Largest number of cells (batch size times n^2 times the sweep's final
+# extent) in one batch array of the solution-grid sweep: bigger batches save
+# little time and cost memory.
 BATCH_CELLS = 1 << 15
 
 
@@ -117,11 +117,14 @@ def is_solution(spec, values, cache: dict | None = None) -> bool:
 # dense solution grids
 
 
-def _factor(elem) -> tuple:
-    """(componentwise max exponents, [(k, b, exponents, coeff)]) of a ring element."""
+def _factor(elem, p: int) -> tuple:
+    """(largest exponents, [(k, b, exponents, coeff)], bound) of a ring element."""
     rows = ((elem,),) if isinstance(elem, Poly) else elem.rows
     terms = [(k, b, e, c) for k, row in enumerate(rows) for b, f in enumerate(row) for e, c in f.terms.items()]
-    return tuple(max((e[v] for _, _, e, _ in terms), default=0) for v in range(elem.num_vars)), terms
+    tops = tuple(max((e[v] for _, _, e, _ in terms), default=0) for v in range(elem.num_vars))
+    # (p-1) times the largest coefficient sum in one target column bounds a product
+    load = max((sum(c for _, j, _, c in terms if j == b) for _, b, _, _ in terms), default=0)
+    return tops, terms, (p - 1) * load
 
 
 def _reduce(arr, p: int, top: int):
@@ -138,21 +141,21 @@ def _reduce(arr, p: int, top: int):
         m >>= 1
 
 
-def _times(arr, terms, p: int, top: int):
-    """Batched arr @ factor for (B, n, n, *canvas) arrays, reduced mod p.
+def _times(arr, factor, p: int):
+    """Batched arr @ factor for (B, n, n, *extent) arrays, reduced mod p.
 
-    Each term of entry (k, b) adds column k, scaled and shifted by the term,
-    to column b; the canvas holds every product of the sweep, so the part
-    shifted off its end is zero.  ``top`` bounds the unreduced sums.
+    The output extent is arr's plus the factor's largest exponents.  Each
+    term of entry (k, b) adds column k, scaled and shifted, to column b.
     """
-    out = np.zeros_like(arr)
-    canvas = arr.shape[3:]
+    tops, terms, bound = factor
+    extent = arr.shape[3:]
+    out = np.zeros(arr.shape[:3] + tuple(c + e for c, e in zip(extent, tops)), arr.dtype)
     for k, b, exps, coeff in terms:
-        src = arr[(slice(None), slice(None), k) + tuple(slice(0, c - e) for c, e in zip(canvas, exps))]
-        out[(slice(None), slice(None), b) + tuple(slice(e, None) for e in exps)] += (
+        src = arr[:, :, k]
+        out[(slice(None), slice(None), b) + tuple(slice(e, e + c) for e, c in zip(exps, extent))] += (
             src if coeff == 1 else src * coeff
         )
-    _reduce(out, p, top)
+    _reduce(out, p, bound)
     return out
 
 
@@ -160,14 +163,14 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     """Boolean grid over [0, n_max)^t: True where the equation vanishes.
 
     Per summand the running product q_i * prod_k P_ik^{n_k} is a batch of
-    (n, n, *canvas) arrays, the canvas fitting the largest product of the
-    sweep, so every array of one equation has the same shape.  Axes 0..t-3
+    (n, n, *extent) arrays whose extent grows with its degree.  Axes 0..t-3
     advance in odometer order, one prefix at a time; consecutive indices on
-    axis t-2 are gathered into batches of at most BATCH_CELLS cells, and
-    each batch walks the last axis by batched shift-adds, testing all its
-    points at once: the coefficients times the arrays, summed, reduced,
-    any.  A single unknown gets a leading axis of extent 1, so the batch
-    axis always exists.
+    axis t-2 are zero-padded to one extent and stacked into batches of at
+    most BATCH_CELLS cells at the sweep's final extent, and each batch walks
+    the last axis by batched shift-adds, testing all its points at once:
+    the summands (times the coefficient table if any has a poly_coeff)
+    summed, reduced, any.  A single unknown gets a leading axis of extent 1,
+    so the batch axis always exists.
     """
     # a summand whose constant q is zero vanishes everywhere
     summands = [sm for sm in summands if not sm[1].is_zero()]
@@ -177,18 +180,19 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     lead, last = len(shape) - t, len(shape) - 1
     q0 = summands[0][1]
     n, r = (1 if isinstance(q0, Poly) else q0.n), q0.num_vars
-    starts = [_factor(q) for _, q, _ in summands]
-    factors = [[_factor(b) for b in bases] for _, _, bases in summands]
-    canvas = tuple(
-        max(top[v] + 1 + (n_max - 1) * sum(f[0][v] for f in fs) for (top, _), fs in zip(starts, factors))
+    starts = [_factor(q, p) for _, q, _ in summands]
+    factors = [[_factor(b, p) for b in bases] for _, _, bases in summands]
+    final = tuple(
+        max(top[v] + 1 + (n_max - 1) * sum(f[0][v] for f in fs) for (top, _, _), fs in zip(starts, factors))
         for v in range(r)
     )
-    factors = [[None] * lead + [f[1] for f in fs] for fs in factors]
-    # largest unreduced sum: one product column, or the test's sum over summands
-    widest = max(max(Counter(b for _, b, _, _ in f).values(), default=0) for fs in factors for f in fs[lead:])
-    bound = (p - 1) ** 2 * max(len(summands), widest)
+    factors = [[None] * lead + fs for fs in factors]
+    plain = all(c is None for c, _, _ in summands)
+    # largest unreduced sum of the zero test, and of any product column
+    test_bound = (p - 1) ** (1 if plain else 2) * len(summands)
+    bound = max([test_bound] + [f[2] for f in starts] + [f[2] for fs in factors for f in fs[lead:]])
     dtype = np.int16 if bound < 1 << 15 else np.int64
-    batch_cap = max(1, BATCH_CELLS // (n * n * math.prod(canvas)))
+    batch_cap = max(1, BATCH_CELLS // (n * n * math.prod(final)))
     residues = list(itertools.product(range(p), repeat=t))
     tables = [
         np.array([1 if c is None else c.evaluate(x) for x in residues], dtype).reshape((1,) * lead + (p,) * t)
@@ -196,17 +200,28 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     ]
     result = np.zeros(shape, dtype=bool)
 
+    def corner(a):  # the cells of a larger array that a occupies
+        return (Ellipsis,) + tuple(slice(0, c) for c in a.shape[3:])
+
     def chain(batch, idx, d0):
         size = len(batch)
-        arrs = [np.concatenate([m[i] for m in batch]) for i in range(len(summands))]
+        arrs = [np.zeros((size,) + big.shape[1:], dtype) for big in batch[-1]]  # the last is the largest
+        for j, m in enumerate(batch):
+            for arr, a in zip(arrs, m):
+                arr[j : j + 1][corner(a)] = a
         rows = np.arange(d0, d0 + size) % p
         cols = [tab[tuple(x % p for x in idx)][rows].T.reshape((p, size) + (1,) * (2 + r)) for tab in tables]
         for e in range(shape[last]):
-            acc = sum(arr * col[e % p] for arr, col in zip(arrs, cols))
-            _reduce(acc, p, bound)
+            if plain and len(arrs) == 1:
+                acc = arrs[0]
+            else:
+                acc = np.zeros((size, n, n) + tuple(map(max, zip(*(a.shape[3:] for a in arrs)))), dtype)
+                for a, col in zip(arrs, cols):
+                    acc[corner(a)] += a if plain else a * col[e % p]
+                _reduce(acc, p, test_bound)
             result[idx + (slice(d0, d0 + size), e)] = ~acc.reshape(size, -1).any(axis=1)
             if e < shape[last] - 1:
-                arrs = [_times(a, fs[last], p, bound) for a, fs in zip(arrs, factors)]
+                arrs = [_times(a, fs[last], p) for a, fs in zip(arrs, factors)]
 
     def walk(cur, idx):
         k = len(idx)
@@ -220,11 +235,10 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
                     chain(batch, idx, d + 1 - len(batch))
                     batch = []
             if d < shape[k] - 1:
-                cur = [_times(a, fs[k], p, bound) for a, fs in zip(cur, factors)]
+                cur = [_times(a, fs[k], p) for a, fs in zip(cur, factors)]
 
-    one = np.zeros((1, n, n) + canvas, dtype)
-    one[(0, range(n), range(n)) + (0,) * r] = 1
-    walk([_times(one, terms, p, bound) for _, terms in starts], ())
+    one = np.eye(n, dtype=dtype).reshape((1, n, n) + (1,) * r)
+    walk([_times(one, start, p) for start in starts], ())
     return result.reshape((n_max,) * t)
 
 

@@ -1,9 +1,14 @@
 """End-to-end runs of the command line front end."""
 
+import contextlib
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edesolver import cli, systems
 from edesolver.fsa import Automaton
@@ -128,6 +133,19 @@ def test_only_ascii_digits_are_integers(tmp_path, capsys):
     code, _, err = run(capsys, "build", str(bad))
     assert code == 2
     assert "equations[0].summands[0]" in err
+
+
+@pytest.mark.parametrize("text", ["\uff13", "1_0"])  # a fullwidth 3, an underscore separator
+def test_integer_options_are_ascii_only(capsys, monkeypatch, text):
+    for option in ("--max-len", "--state-cap"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enum", THETA_EQ, option, text])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+    monkeypatch.setenv("EDE_STATE_CAP", text)
+    code, _, err = run(capsys, "build", THETA_EQ)
+    assert code == 2
+    assert "EDE_STATE_CAP" in err
 
 
 # --------------------------------------------------------------------- enum
@@ -346,3 +364,88 @@ def test_one_parser_serves_successive_calls_without_leaking(capsys):
     assert out.split() == ["0"]
     code, out, _ = run(capsys, "enum", EVEN_N)
     assert out.split() == [str(n) for n in range(0, 16, 2)]
+
+
+# --------------------------------------------------------------------- fuzz
+
+@st.composite
+def poly_text(draw, p, num_vars):
+    """Polynomial text in the spec grammar with at most three terms of degree <= 2."""
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        exps = [0] * num_vars
+        for _ in range(draw(st.integers(0, 2))):
+            exps[draw(st.integers(0, num_vars - 1))] += 1
+        terms.append(f"{draw(st.integers(0, p - 1))}:{','.join(map(str, exps))}")
+    return " + ".join(terms) or "0"
+
+
+@st.composite
+def cli_specs(draw):
+    """A random spec dict: valid, or valid with one field broken."""
+    p = draw(st.sampled_from((2, 3)))
+    r, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    spec = {"p": p, "r": r, "t": t}
+    if p == 2 and draw(st.booleans()):
+        # the n = 2 companion of xi^2 + xi + theta_1 (rho = 1)
+        one, theta = "1:" + ",".join("0" * r), "1:" + ",".join("1" + "0" * (r - 1))
+        spec["ring"] = {"companion": {"n": 2, "rho": one, "minpoly_numerators": [theta, one]}}
+
+        def elem():
+            return [draw(poly_text(p, r)) for _ in range(draw(st.integers(1, 2)))]
+    else:
+        def elem():
+            return draw(poly_text(p, r))
+
+    spec["equations"] = [
+        {"summands": [
+            {
+                **({"poly_coeff": draw(poly_text(p, t))} if draw(st.booleans()) else {}),
+                "Q": elem(),
+                "P": [elem() for _ in range(t)],
+            }
+            for _ in range(draw(st.integers(1, 2)))
+        ]}
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    first = spec["equations"][0]["summands"][0]
+    mutation = draw(st.sampled_from(["none"] * 6 + ["drop", "retype", "arity", "ring", "summand", "poly"]))
+    if mutation == "drop":
+        del spec[draw(st.sampled_from(["p", "r", "t", "equations"]))]
+    elif mutation == "retype":
+        spec[draw(st.sampled_from(["p", "r", "t"]))] = draw(st.sampled_from([0, 1, 4, -2, True, "2", 2.0]))
+    elif mutation == "arity":
+        spec["t"] = 3 - t
+    elif mutation == "ring":
+        spec["ring"] = draw(st.sampled_from(["matrix", {"companion": []}, {"companion": {"n": 2}}]))
+    elif mutation == "summand":
+        spec["equations"][0]["summands"][0] = draw(st.sampled_from([[], "Q", {"P": []}]))
+    elif mutation == "poly":
+        bad = draw(st.sampled_from(["x", "1:", "1:0,0,0", "\uff11:0", "1:-1", "+", 7, None, []]))
+        key = draw(st.sampled_from(["Q", "P", "poly_coeff"]))
+        if key == "P":
+            first["P"][0] = bad
+        else:
+            first[key] = bad
+    return spec
+
+
+def run_quietly(*argv):
+    """cli.main's exit status with its output swallowed; argparse's exits count too."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(list(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_specs())
+def test_random_specs_end_in_an_exit_status(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "spec.json")
+        pathlib.Path(path).write_text(json.dumps(spec))
+        code = run_quietly("build", path, "--state-cap", "300")
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert run_quietly("verify", path, "--max-len", "2", "--state-cap", "300") == 0

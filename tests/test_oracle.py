@@ -5,6 +5,7 @@ import json
 import pathlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,6 +206,85 @@ def test_grid_handles_zero_bases_and_zero_constants():
     grid = _solution_grid(ede, 8)
     assert not grid[0]
     assert all(bool(grid[n]) for n in range(1, 8))
+
+
+# ---------------------------------------------------------- kernel pieces
+
+
+def _dense(elem, extent, dtype):
+    """A ring element as a (1, n, n, *extent) array, written term by term."""
+    rows = ((elem,),) if isinstance(elem, Poly) else elem.rows
+    arr = np.zeros((1, len(rows), len(rows)) + extent, dtype)
+    for k, row in enumerate(rows):
+        for b, f in enumerate(row):
+            for e, c in f.terms.items():
+                arr[(0, k, b) + e] = c
+    return arr
+
+
+def _ring_element(field, n, entry):
+    """entry(k, b) as a Poly (n = 1) or an n x n PolyMatrix."""
+    if n == 1:
+        return entry(0, 0)
+    return PolyMatrix(field, 2, [[entry(k, b) for b in range(n)] for k in range(n)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 191])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_times_is_a_reduced_literal_product(p, n):
+    field = PrimeField(p)
+    x, y, one = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1), Poly.one(field, 2)
+    zero = one * 0
+    rng = random.Random(p * 10 + n)
+    # every entry of a at p - 1, so each product column reaches its bound, and a random one
+    box = sum((x**i * y**j for i in range(4) for j in range(3)), zero) * (p - 1)
+    left = [
+        _ring_element(field, n, lambda k, b: box),
+        _ring_element(field, n, lambda k, b: suites.random_poly(rng, field, 2)),
+    ]
+    # coefficient sums from 1 to 3(p-1) per entry, so n of them pile into column 0
+    for coeffs in ([1], [1, 1], [1, 1, 1, 1], [p - 1], [p - 1, 1], [p - 1, p - 1, p - 1]):
+        pile = sum((x**i * y ** (i % 2) * c for i, c in enumerate(coeffs)), zero)
+        factor = _ring_element(field, n, lambda k, b: pile if b == 0 else (y if (k, b) == (0, 1) else zero))
+        tops, _, bound = fac = oracle._factor(factor, p)
+        assert bound == (p - 1) * n * sum(coeffs)
+        dtype = np.int16 if bound < 1 << 15 else np.int64
+        arr = np.concatenate([_dense(a, (4, 3), dtype) for a in left])
+        out = oracle._times(arr, fac, p)
+        assert out.shape == (2, n, n, 4 + tops[0], 3 + tops[1])
+        assert out.min() >= 0 and out.max() < p
+        for i, a in enumerate(left):
+            assert np.array_equal(out[i : i + 1], _dense(a * factor, out.shape[3:], dtype)), (coeffs, i)
+
+
+def _unequal_degree_systems():
+    """x^(2a) y^b (...)^c - y^(2a) x^b (...)^c over F_3, with and without poly_coeff.
+
+    Bases of unequal degree make consecutive batch members, and the two
+    summands, differ in extent.
+    """
+    field = PrimeField(3)
+    x, y, one = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1), Poly.one(field, 2)
+    out = []
+    for t in (2, 3):
+        third = ((), ()) if t == 2 else ((x + y,), (x * x + y,))
+        for coeff in (None, Poly.variable(field, t, 0) + Poly.one(field, t)):
+            eq = (Summand(coeff, one, (x * x, y) + third[0]), Summand(None, one * 2, (y * y, x) + third[1]))
+            out.append(SystemSpec(field, 2, t, None, (eq,)))
+    # companion systems with a mixed solution grid, without and with poly_coeff
+    out += [_random_companion_system(random.Random(seed), suites.companion_n2_f2(), 2) for seed in (1, 2)]
+    return out
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 22])
+def test_grid_matches_evaluation_at_any_batch_size(monkeypatch, cells):
+    monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
+    for spec in _unequal_degree_systems():
+        n_max = 9 if spec.t == 2 else 4
+        grid = _solution_grid(spec, n_max)
+        cache = {}
+        for values in itertools.product(range(n_max), repeat=spec.t):
+            assert bool(grid[values]) == is_solution(spec, values, cache), (spec, values)
 
 
 # --------------------------------------------------------------- comparison
