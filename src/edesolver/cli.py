@@ -183,8 +183,15 @@ def _parse_tuple(text: str, t: int) -> tuple:
     return values
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:  # argparse would print this function's name for a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _natural(text: str) -> int:
-    value = parse_int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
@@ -261,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("spec", help="path to a JSON equation spec")
         sp.add_argument(
-            "--state-cap", type=parse_int, default=None,
+            "--state-cap", type=_integer, default=None,
             help="max automaton states (default: EDE_STATE_CAP or "
             f"{fsa.DEFAULT_STATE_CAP})",
         )

@@ -12,10 +12,12 @@ for scalar and companion rings alike: a ring element is an (n, n, *extent)
 array mod p (n = 1 for a scalar ring) that grows with its degree, and a
 product by a base adds one shifted copy per term, reduced only where the
 base's coefficients can reach p: literal multiplication with no shortcuts
-of characteristic p, in batches of at most ``BATCH_CELLS`` cells.  Words
-are swept in level order (length l+1 is length l extended by every letter),
-so a level's automaton states and grid indices are two arrays, and word
-objects are built only for mismatches.
+of characteristic p, in batches of at most ``BATCH_CELLS`` cells.  The last
+unknown advances a block of p^j exponents per product, by powers P^(p^i) of
+its base computed with ring products, never by Frobenius substitution.
+Words are swept in level order (length l+1 is length l extended by every
+letter), so a level's automaton states and grid indices are two arrays, and
+word objects are built only for mismatches.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from .scalar import ScalarEde
 from .systems import SystemSpec
 
 DEFAULT_WORD_CAP = 500_000
-# Largest number of cells (batch size times n^2 times the sweep's final
-# extent) in one batch array of the solution-grid sweep: bigger batches save
-# little time and cost memory.
+# Largest number of cells (block times batch size times n^2 times the
+# sweep's final extent) in one batch array of the solution-grid sweep: bigger
+# batches save little time and cost memory.
 BATCH_CELLS = 1 << 15
 
 
@@ -165,12 +167,16 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     Per summand the running product q_i * prod_k P_ik^{n_k} is a batch of
     (n, n, *extent) arrays whose extent grows with its degree.  Axes 0..t-3
     advance in odometer order, one prefix at a time; consecutive indices on
-    axis t-2 are zero-padded to one extent and stacked into batches of at
-    most BATCH_CELLS cells at the sweep's final extent, and each batch walks
-    the last axis by batched shift-adds, testing all its points at once:
-    the summands (times the coefficient table if any has a poly_coeff)
-    summed, reduced, any.  A single unknown gets a leading axis of extent 1,
-    so the batch axis always exists.
+    axis t-2 are zero-padded to one extent and stacked into batches.  Each
+    batch walks the last axis in blocks of p^j exponents: level i stacks
+    S, S F_i, .., S F_i^(p-1) for F_i = P^(p^i), a literal power of the last
+    base, so the first block holds exponents 0..p^j-1 exponent-major, and
+    one product by P^(p^j) moves a whole block on.  Block times batch at the
+    sweep's final extent stays within BATCH_CELLS cells; batches fill it
+    first, and block is the largest power of p dividing n_max that fits.
+    Every block is tested at once: the summands (times the coefficient table
+    if any has a poly_coeff) summed, reduced, any.  A single unknown gets a
+    leading axis of extent 1, so the batch axis always exists.
     """
     # a summand whose constant q is zero vanishes everywhere
     summands = [sm for sm in summands if not sm[1].is_zero()]
@@ -187,12 +193,28 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
         for v in range(r)
     )
     factors = [[None] * lead + fs for fs in factors]
+    cells = n * n * math.prod(final)
+    batch_cap = max(1, min(shape[last - 1], BATCH_CELLS // cells))
+    block, levels = 1, 0  # block = p^levels, the largest dividing n_max that fits the cap
+    while n_max % (block * p) == 0 and block * p * batch_cap * cells <= BATCH_CELLS:
+        block, levels = block * p, levels + 1
+    # P^(p^j) for j < levels, and P^block once a second block follows: literal powers
+    powers = []
+    for _, _, bases in summands:
+        pw = [bases[-1]]
+        while len(pw) < levels + (block < n_max):
+            pw.append(pw[-1] ** p)
+        powers.append([_factor(f, p) for f in pw])
     plain = all(c is None for c, _, _ in summands)
     # largest unreduced sum of the zero test, and of any product column
     test_bound = (p - 1) ** (1 if plain else 2) * len(summands)
-    bound = max([test_bound] + [f[2] for f in starts] + [f[2] for fs in factors for f in fs[lead:]])
+    bound = max(
+        [test_bound]
+        + [f[2] for f in starts]
+        + [f[2] for fs in factors for f in fs[lead:]]
+        + [f[2] for fs in powers for f in fs]
+    )
     dtype = np.int16 if bound < 1 << 15 else np.int64
-    batch_cap = max(1, BATCH_CELLS // (n * n * math.prod(final)))
     residues = list(itertools.product(range(p), repeat=t))
     tables = [
         np.array([1 if c is None else c.evaluate(x) for x in residues], dtype).reshape((1,) * lead + (p,) * t)
@@ -203,25 +225,38 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     def corner(a):  # the cells of a larger array that a occupies
         return (Ellipsis,) + tuple(slice(0, c) for c in a.shape[3:])
 
+    def stack(parts):  # on the batch axis, zero-padded to the last, the largest
+        out = np.zeros((sum(len(a) for a in parts),) + parts[-1].shape[1:], dtype)
+        at = 0
+        for a in parts:
+            out[at : at + len(a)][corner(a)] = a
+            at += len(a)
+        return out
+
     def chain(batch, idx, d0):
         size = len(batch)
-        arrs = [np.zeros((size,) + big.shape[1:], dtype) for big in batch[-1]]  # the last is the largest
-        for j, m in enumerate(batch):
-            for arr, a in zip(arrs, m):
-                arr[j : j + 1][corner(a)] = a
+        arrs = [stack(ms) for ms in zip(*batch)]
+        # exponents 0..block-1 of the last axis, exponent-major on the batch axis
+        for j in range(levels):
+            for i, pw in enumerate(powers):
+                parts = [arrs[i]]
+                for _ in range(p - 1):
+                    parts.append(_times(parts[-1], pw[j], p))
+                arrs[i] = stack(parts)
         rows = np.arange(d0, d0 + size) % p
-        cols = [tab[tuple(x % p for x in idx)][rows].T.reshape((p, size) + (1,) * (2 + r)) for tab in tables]
-        for e in range(shape[last]):
+        cols = [tab[tuple(x % p for x in idx)][rows].T for tab in tables]  # (p, size)
+        for e0 in range(0, shape[last], block):
             if plain and len(arrs) == 1:
                 acc = arrs[0]
             else:
-                acc = np.zeros((size, n, n) + tuple(map(max, zip(*(a.shape[3:] for a in arrs)))), dtype)
+                acc = np.zeros(arrs[0].shape[:3] + tuple(map(max, zip(*(a.shape[3:] for a in arrs)))), dtype)
+                es = (e0 + np.arange(block)) % p
                 for a, col in zip(arrs, cols):
-                    acc[corner(a)] += a if plain else a * col[e % p]
+                    acc[corner(a)] += a if plain else a * col[es].reshape((-1,) + (1,) * (2 + r))
                 _reduce(acc, p, test_bound)
-            result[idx + (slice(d0, d0 + size), e)] = ~acc.reshape(size, -1).any(axis=1)
-            if e < shape[last] - 1:
-                arrs = [_times(a, fs[last], p) for a, fs in zip(arrs, factors)]
+            result[idx + (slice(d0, d0 + size), slice(e0, e0 + block))] = ~acc.reshape(block, size, -1).any(axis=2).T
+            if e0 + block < shape[last]:
+                arrs = [_times(a, pw[levels], p) for a, pw in zip(arrs, powers)]
 
     def walk(cur, idx):
         k = len(idx)

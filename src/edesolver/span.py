@@ -48,7 +48,6 @@ are small (tens of coordinates), so the elimination runs on Python lists.
 from __future__ import annotations
 
 import bisect
-import math
 
 import numpy as np
 
@@ -60,8 +59,12 @@ from .gfpoly import Poly
 MAX_STEP_CELLS = 1 << 24
 
 
-def _coordinates(rows, moves, p: int, bound: int, max_width: int) -> list:
-    """Sorted (entry, exponent vector) pairs reachable from the start rows' supports."""
+def _coordinates(rows, moves, p: int, r: int, bound: int, num_letters: int) -> list:
+    """Sorted (entry, exponent vector) pairs reachable from the start rows' supports.
+
+    Raises CapacityError once the dense step maps of the coordinates seen,
+    num_letters * p^r * width^2 cells, would pass MAX_STEP_CELLS.
+    """
     successors = {}
     for triples in moves.values():
         for a, b, f in triples:
@@ -78,10 +81,13 @@ def _coordinates(rows, moves, p: int, bound: int, max_width: int) -> list:
                 if c not in seen:
                     seen.add(c)
                     grown.append(c)
-        if len(seen) > max_width:
+        width = len(seen)
+        cells = num_letters * p**r * width * width
+        if cells > MAX_STEP_CELLS:
             raise CapacityError(
-                f"{len(seen)} coordinates reachable, the cap of {MAX_STEP_CELLS} "
-                f"step-matrix cells allows {max_width}", discovered=len(seen),
+                f"{width} coordinates reachable: their step maps need {num_letters} letters x "
+                f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
+                discovered=width,
             )
         frontier = grown
     return sorted(seen)
@@ -159,8 +165,7 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
     dispatch = isinstance(starts, dict)
     rows = [row for d in letters for row in starts[d]] if dispatch else starts
     sections = p**r
-    max_width = math.isqrt(MAX_STEP_CELLS // (len(letters) * sections))
-    coords = _coordinates(rows, moves, p, bound, max_width)
+    coords = _coordinates(rows, moves, p, r, bound, len(letters))
     width = len(coords)
     index = {c: i for i, c in enumerate(coords)}
     maps = dict(zip(letters, _step_matrices(coords, index, p, r, letters, moves)))

@@ -141,7 +141,10 @@ def test_integer_options_are_ascii_only(capsys, monkeypatch, text):
         with pytest.raises(SystemExit) as exc:
             cli.main(["enum", THETA_EQ, option, text])
         assert exc.value.code == 2
-        assert option in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert option in err and repr(text) in err
+        # argparse names the type function of a bare ValueError
+        assert "parse_int" not in err and "_natural" not in err
     monkeypatch.setenv("EDE_STATE_CAP", text)
     code, _, err = run(capsys, "build", THETA_EQ)
     assert code == 2

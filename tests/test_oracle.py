@@ -276,11 +276,45 @@ def _unequal_degree_systems():
     return out
 
 
-@pytest.mark.parametrize("cells", [1, 1 << 22])
+def _single_unknown_systems():
+    """(x + 1)^n - x^n - 1 with x = theta or the companion root xi, and n_max.
+
+    The sum vanishes at the powers of p (the freshman's dream) and, for
+    these x, nowhere else, so the grids are mixed; the (n + 1) poly_coeff of
+    two of them also removes n = 1.  Each n_max times the cells of one grid point (n^2 times the
+    final extent: 32, 24, 81, 4 * 16 and 9 * 8) lies above 1 << 8, which
+    holds a block of 8, 8, 3, 4 and 2 exponents: a partial block.  24 is no
+    power of 2, so even 1 << 22 cells give it blocks of 8.
+    """
+    out = []
+    for field, n_max, coeff in ((F2, 32, False), (F2, 24, False), (PrimeField(3), 81, True)):
+        x, one = Poly.variable(field, 1, 0), Poly.one(field, 1)
+        c = Poly.variable(field, 1, 0) + Poly.one(field, 1) if coeff else None
+        eq = (Summand(c, one, (x + one,)), Summand(None, -one, (x,)), Summand(None, -one, (one,)))
+        out.append((SystemSpec(field, 1, 1, None, (eq,)), n_max))
+    for spec, n_max, coeff in ((suites.companion_n2_f2(), 16, False), (suites.companion_n3_f2(), 8, True)):
+        one, zero = Poly.one(F2, 1), Poly.zero(F2, 1)
+
+        def xi(*coeffs):
+            return coeffs + (zero,) * (spec.n - len(coeffs))
+
+        c = Poly.variable(F2, 1, 0) + Poly.one(F2, 1) if coeff else None
+        eq = (
+            Summand(c, xi(one), (xi(one, one),)),
+            Summand(None, xi(one), (xi(zero, one),)),
+            Summand(None, xi(one), (xi(one),)),
+        )
+        out.append((SystemSpec(F2, 1, 1, spec, (eq,)), n_max))
+    return out
+
+
+# 1 cell: one grid point per batch and block; 1 << 8: partial blocks of the
+# last axis for a single unknown; 1 << 22: whole axes in one batch and block
+@pytest.mark.parametrize("cells", [1, 1 << 8, 1 << 22])
 def test_grid_matches_evaluation_at_any_batch_size(monkeypatch, cells):
     monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
-    for spec in _unequal_degree_systems():
-        n_max = 9 if spec.t == 2 else 4
+    cases = [(spec, 9 if spec.t == 2 else 4) for spec in _unequal_degree_systems()]
+    for spec, n_max in cases + _single_unknown_systems():
         grid = _solution_grid(spec, n_max)
         cache = {}
         for values in itertools.product(range(n_max), repeat=spec.t):

@@ -166,6 +166,18 @@ def test_step_matrix_cells_are_capped():
     assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
 
 
+def test_step_matrix_cap_names_the_cells_needed():
+    # two coordinates in 50 variables: 2^50 sections make any step map too large
+    start = Poly.one(F2, 50) + Poly.variable(F2, 50, 0)
+    with pytest.raises(CapacityError) as exc:
+        span.explore(F2, 50, 1, [(start,)], ((0,), (1,)), {(0,): [], (1,): []}, 100)
+    assert exc.value.discovered == 2
+    assert str(exc.value) == (
+        "2 coordinates reachable: their step maps need 2 letters x 2^50 sections x 2^2 "
+        f"= {2 * 2**50 * 4} cells, over the cap of {span.MAX_STEP_CELLS}"
+    )
+
+
 def test_high_degree_start_tracks_only_reachable_coordinates():
     # theta^4000 * 1^n: the degree box holds 4001 monomials, the support map
     # reaches the 13 of theta^4000, theta^2000, ..., theta^62, ..., theta, 1
