@@ -18,7 +18,7 @@ from .companion import (
 )
 from .companion import build_automaton as build_matrix_automaton
 from .companion import degree_bound as matrix_degree_bound
-from .digits import DigitWord, alphabet, decode, digit_length, encode
+from .digits import DigitWord, alphabet, digit_length
 from .errors import (
     AlphabetError,
     CapacityError,
@@ -60,9 +60,7 @@ __all__ = [
     "companion_matrix",
     "compare",
     "conjugator",
-    "decode",
     "digit_length",
-    "encode",
     "evaluate",
     "evaluate_at_companion",
     "format_poly",

@@ -1,4 +1,4 @@
-"""Digit automata for exponential equations over companion-matrix rings.
+"""Companion-matrix rings: the coefficient rings of order n >= 1 for :mod:`scalar`.
 
 The coefficient ring here is R[B] where R = F_p[x_1..x_r] and B is the
 companion matrix of a monic-up-to-scaling polynomial
@@ -16,29 +16,41 @@ the coordinates of xi^{p j} in the power basis) with
 
     B'^p = C' B'(x^p) C'^{-1},   C' = rho^{p(n-1)} * C  in  M_n(R).
 
-That identity lets the per-digit step mirror the scalar engine: multiply
+That identity lets the per-digit step of :mod:`scalar` carry over: multiply
 the residue matrix by the digit-selected base powers AND one copy of C',
 then apply the entrywise section operator.  A singular C' is exactly how a
 reducible or inseparable input manifests and is rejected up front.
 
-States are defined as sets of residue-matrix tuples, as in :mod:`scalar`;
-:func:`build_automaton` flattens each tuple to its s*n^2 polynomial
-entries, folds C' into the step maps and tracks F_p-spans with the shared
-span engine (:mod:`span`), accepting a span when the summands' matrices
-sum to zero entry by entry on it.  :func:`explore` decodes the same spans
-back into residue-matrix tuples.
+This module holds only the ring: :class:`MatrixEde` gives the equation
+layer of :mod:`scalar` its order n, its one (the identity), its C' and the
+row-major flattening of a matrix into n^2 entry polynomials.  The step, the
+set semantics, the degree bound, :func:`explore` and
+:func:`build_automaton` are the ones of :mod:`scalar`, for which
+F_p[x_1..x_r] is the order-one case with C' = 1; they are re-exported here.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import digits, fsa, span
+from . import digits
 from .errors import SingularConjugatorError, StructureError
 from .gfpoly import MINUS_INFINITY, Poly, PrimeField, format_poly
+from .scalar import (  # noqa: F401  the equation layer both rings share
+    base_power,
+    build_automaton,
+    degree_bound,
+    explore,
+    extend_residues,
+    extend_state,
+    initial_state,
+    is_accepting_residues,
+    is_accepting_state,
+    span_entries,
+    span_moves,
+    step,
+)
 
 
 @dataclass(frozen=True)
@@ -129,15 +141,13 @@ class PolyMatrix:
     def __pow__(self, k: int) -> "PolyMatrix":
         if not isinstance(k, int) or k < 0:
             raise StructureError("matrix exponent must be a natural number")
-        result = PolyMatrix.identity(self.field, self.num_vars, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            need = k > 1
-            k >>= 1
-            if need:
-                base = base * base
+        if not k:
+            return PolyMatrix.identity(self.field, self.num_vars, self.n)
+        result = self
+        for bit in bin(k)[3:]:  # square and multiply, from below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self) -> bool:
@@ -355,139 +365,22 @@ class MatrixEde:
     def section_alphabet(self) -> tuple:
         return digits.alphabet(self.field.p, self.r)
 
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    @cached_property
+    def one(self) -> PolyMatrix:
+        return PolyMatrix.identity(self.field, self.r, self.n)
+
     @cached_property
     def conjugator(self) -> PolyMatrix:
         return conjugator(self.base)[0]
 
+    def entries(self, elem: PolyMatrix) -> tuple:
+        return tuple(f for row in elem.rows for f in row)
 
-def degree_bound(ede: MatrixEde) -> tuple:
-    """(N0, N2), the matrix analogue of the scalar bound.
+    def element(self, entries) -> PolyMatrix:
+        n = self.n
+        return PolyMatrix(self.field, self.r, [entries[a * n:(a + 1) * n] for a in range(n)])
 
-    Each step multiplies by at most t digit powers of the evaluated bases
-    plus one conjugator factor before the section divides degrees by p.
-    """
-    p = ede.field.p
-    big_m = 0
-    for row in ede.bases:
-        for m in row:
-            d = m.total_degree()
-            if d != MINUS_INFINITY:
-                big_m = max(big_m, int(d))
-    deg_c = ede.conjugator.total_degree()
-    deg_c = 0 if deg_c == MINUS_INFINITY else int(deg_c)
-    n0 = math.ceil((p * ede.t * big_m + deg_c) / (p - 1))
-    max_q = 0
-    for m in ede.q:
-        d = m.total_degree()
-        if d != MINUS_INFINITY:
-            max_q = max(max_q, int(d))
-    return n0, max(max_q, n0)
-
-
-def base_power(ede: MatrixEde, i: int, x) -> PolyMatrix:
-    """Summand i's bases raised to the digits of x (without the conjugator)."""
-    if not 1 <= i <= ede.s:
-        raise StructureError(f"summand index {i} out of range 1..{ede.s}")
-    x = digits.check_letter(x, ede.field.p, ede.t)
-    out = PolyMatrix.identity(ede.field, ede.r, ede.base.n)
-    for m, d in zip(ede.bases[i - 1], x):
-        if d:
-            out = out * m**d
-    return out
-
-
-def step(ede: MatrixEde, i: int, x, y, f: PolyMatrix) -> PolyMatrix:
-    """One digit step: multiply by base powers and C', then section by y."""
-    return (f * base_power(ede, i, x) * ede.conjugator).section(y)
-
-
-def extend_residues(ede: MatrixEde, residues, x, y) -> tuple:
-    residues = tuple(residues)
-    if len(residues) != ede.s:
-        raise StructureError(f"expected {ede.s} residues, got {len(residues)}")
-    return tuple(step(ede, i + 1, x, y, m) for i, m in enumerate(residues))
-
-
-def extend_state(ede: MatrixEde, state, x) -> frozenset:
-    return frozenset(
-        extend_residues(ede, tau, x, y) for tau in state for y in ede.section_alphabet
-    )
-
-
-def is_accepting_residues(residues) -> bool:
-    residues = tuple(residues)
-    total = residues[0]
-    for m in residues[1:]:
-        total = total + m
-    return total.is_zero()
-
-
-def is_accepting_state(state) -> bool:
-    return all(is_accepting_residues(tau) for tau in state)
-
-
-def initial_state(ede: MatrixEde) -> frozenset:
-    return frozenset({tuple(ede.q)})
-
-
-def span_entries(ede: MatrixEde) -> tuple:
-    """(start entries, acceptance groups) for :mod:`span`.
-
-    Residue tuples flatten row-major to s*n^2 entries; entry (i, a, b) is
-    summed with the (a, b) entries of the other summands.
-    """
-    n = ede.base.n
-    entries = tuple(f for m in ede.q for row in m.rows for f in row)
-    return entries, tuple(range(n * n)) * ede.s
-
-
-def span_moves(ede: MatrixEde) -> dict:
-    """The (source, target, multiplier) triples of every letter.
-
-    Entry (i, a, b) of an image sums entry (i, a, k) times entry (k, b) of
-    summand i's multiplier (base power times C') over k.
-    """
-    n, cprime = ede.base.n, ede.conjugator
-    moves = {}
-    for x in ede.exponent_alphabet:
-        moves[x] = []
-        for i in range(ede.s):
-            rows = (base_power(ede, i + 1, x) * cprime).rows
-            for a, k, b in itertools.product(range(n), repeat=3):
-                moves[x].append(((i * n + a) * n + k, (i * n + a) * n + b, rows[k][b]))
-    return moves
-
-
-def explore(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
-    """Reachable span states; returns (state keys, transition table).
-
-    Each key is the frozenset of residue tuples forming the echelon basis of
-    its span (see :mod:`span`).
-    """
-    n = ede.base.n
-    bases, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], [span_entries(ede)[0]],
-        ede.exponent_alphabet, span_moves(ede), state_cap,
-    )
-
-    def matrix(entries):
-        return PolyMatrix(ede.field, ede.r, [entries[a * n:(a + 1) * n] for a in range(n)])
-
-    keys = [
-        frozenset(
-            tuple(matrix(row[i * n * n:(i + 1) * n * n]) for i in range(ede.s)) for row in basis
-        )
-        for basis in bases
-    ]
-    return keys, transitions
-
-
-def build_automaton(ede: MatrixEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
-    """The DFA accepting exactly the words whose decoded tuple solves the equation."""
-    entries, groups = span_entries(ede)
-    finals, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], [entries],
-        ede.exponent_alphabet, span_moves(ede), state_cap, accept=groups,
-    )
-    labels = [str(i) for i in range(len(transitions))]
-    return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals)

@@ -111,14 +111,6 @@ class DigitWord:
         return format_word(self)
 
 
-def decode(word: DigitWord) -> tuple:
-    return word.decode()
-
-
-def encode(values, p: int, width: int, length: int | None = None) -> DigitWord:
-    return DigitWord.encode(values, p, width, length)
-
-
 def format_word(word: DigitWord) -> str:
     """Text form "d,d;d,d" with ';' between letters; the empty word is ""."""
     return ";".join(",".join(str(d) for d in letter) for letter in word.letters)

@@ -217,15 +217,13 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise StructureError("exponent must be a natural number")
-        result = Poly.one(self.field, self.num_vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
+        if not n:
+            return Poly.one(self.field, self.num_vars)
+        result = self
+        for bit in bin(n)[3:]:  # square and multiply, from below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def total_degree(self):

@@ -1,19 +1,29 @@
-"""Digit automata for exponential equations over F_p[x_1..x_r].
+"""Digit automata for exponential equations, over F_p[x_1..x_r] and its companion rings.
 
 An equation instance is
 
     Q_1 * P_11^{n_1} .. P_1t^{n_t} + ... + Q_s * P_s1^{n_1} .. P_st^{n_t} = 0
 
-with all Q_i, P_ik in F_p[x_1..x_r] and the unknowns n_k ranging over the
+with all Q_i, P_ik in a ring R and the unknowns n_k ranging over the
 naturals.  Writing the unknown tuple in base p, least significant digit
 first, the solution words form a regular language, and this module builds
 the deciding DFA directly.
 
-The per-digit step works on "residue tuples": s-tuples of polynomials,
+The per-digit step works on "residue tuples": s-tuples of ring elements,
 starting from (Q_1, .., Q_s).  Consuming the digit letter x under section
 letter y maps component i to
 
-    section( f_i * P_i1^{x_1} .. P_it^{x_t} , y ).
+    section( f_i * P_i1^{x_1} .. P_it^{x_t} * C' , y ).
+
+Here R is either F_p[x_1..x_r] itself (:class:`ScalarEde`) or one of the
+companion-matrix rings of :mod:`companion` (``MatrixEde``), whose n-by-n
+matrices need the conjugator C' to commute the p-th power past the section.
+F_p[x_1..x_r] is the order-one companion ring: its C' is the 1-by-1
+identity, the polynomial 1.  So every function below is written once,
+against the small interface both equation classes provide: the order
+``n``, the ring's ``one``, the ``conjugator`` C', and ``entries`` /
+``element``, which flatten a ring element into its n^2 entry polynomials
+and rebuild it.
 
 By definition a state is the set of residue tuples produced by all section
 choices so far (``initial_state`` / ``extend_state``); it accepts when every
@@ -22,8 +32,9 @@ happens exactly when the equation holds at the decoded exponent tuple.
 Sections divide degrees by p, so residues stay inside a fixed degree box.
 The step is F_p-linear and acceptance is a linear condition, so
 :func:`build_automaton` tracks the F_p-span of each set instead, through
-the span engine shared with the companion rings (:mod:`span`): a span
-accepts when it lies in the kernel of the map summing the components.  The
+the span engine (:mod:`span`): a residue tuple flattens to its s*n^2 entry
+polynomials, C' is folded into the step maps, and a span accepts when it
+lies in the kernel of the map summing the summands entry by entry.  The
 language is the same and the reachable spans are far fewer than the
 reachable sets.  :func:`explore` decodes the same spans back into residue
 tuples, to which the set predicates apply as-is.
@@ -31,13 +42,14 @@ tuples, to which the set predicates apply as-is.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import digits, fsa, span
 from .errors import StructureError
-from .gfpoly import Poly, PrimeField
+from .gfpoly import MINUS_INFINITY, Poly, PrimeField
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,8 @@ class ScalarEde:
     t: int
     q: tuple
     bases: tuple
+
+    n = 1  # the order of the ring: F_p[x_1..x_r] is the order-one companion ring
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(self.q))
@@ -83,34 +97,47 @@ class ScalarEde:
     def section_alphabet(self) -> tuple:
         return digits.alphabet(self.field.p, self.r)
 
+    @cached_property
+    def one(self) -> Poly:
+        return Poly.one(self.field, self.r)
 
-def degree_bound(ede: ScalarEde) -> tuple:
+    @cached_property
+    def conjugator(self) -> Poly:
+        """C' of the order-one ring: the 1-by-1 identity."""
+        return self.one
+
+    def entries(self, elem: Poly) -> tuple:
+        return (elem,)
+
+    def element(self, entries) -> Poly:
+        return entries[0]
+
+
+def _max_degree(elems) -> int:
+    """Largest total degree among ``elems``; zero elements count as degree 0."""
+    degs = [elem.total_degree() for elem in elems]
+    return max((int(d) for d in degs if d != MINUS_INFINITY), default=0)
+
+
+def degree_bound(ede) -> tuple:
     """(N0, N1): the step operator maps degree <= N below N back, N >= N0.
 
     M is the largest base degree (zero bases count as degree 0).  One digit
-    letter multiplies by at most t bases, each raised to a digit < p, so a
-    step grows degree by at most (p-1)*t*M before the section divides by p.
-    N0 = ceil(p*t*M/(p-1)) dominates the fixed point; N1 additionally covers
-    the starting degrees, so every reachable state stays within N1.
+    letter multiplies by at most t bases, each raised to a digit < p, and by
+    C' (degree 0 in the scalar ring), so a step grows degree by at most
+    (p-1)*t*M + deg C' before the section divides by p.
+    N0 = ceil((p*t*M + deg C')/(p-1)) dominates the fixed point; N1
+    additionally covers the starting degrees, so every reachable state
+    stays within N1.
     """
     p = ede.field.p
-    big_m = 0
-    for row in ede.bases:
-        for f in row:
-            d = f.total_degree()
-            if d != float("-inf"):
-                big_m = max(big_m, int(d))
-    n0 = math.ceil(p * ede.t * big_m / (p - 1))
-    max_q = 0
-    for f in ede.q:
-        d = f.total_degree()
-        if d != float("-inf"):
-            max_q = max(max_q, int(d))
-    return n0, max(max_q, n0)
+    big_m = _max_degree(f for row in ede.bases for f in row)
+    n0 = math.ceil((p * ede.t * big_m + _max_degree([ede.conjugator])) / (p - 1))
+    return n0, max(_max_degree(ede.q), n0)
 
 
-def base_power(ede: ScalarEde, i: int, x) -> Poly:
-    """Product of summand i's bases raised to the digits of letter x.
+def base_power(ede, i: int, x):
+    """Product of summand i's bases raised to the digits of letter x (without C').
 
     ``i`` is the 1-based summand index, matching the equation's order.
     Zero digits contribute the factor 1 even for a zero base.
@@ -118,19 +145,19 @@ def base_power(ede: ScalarEde, i: int, x) -> Poly:
     if not 1 <= i <= ede.s:
         raise StructureError(f"summand index {i} out of range 1..{ede.s}")
     x = digits.check_letter(x, ede.field.p, ede.t)
-    out = Poly.one(ede.field, ede.r)
+    out = ede.one
     for base, d in zip(ede.bases[i - 1], x):
         if d:
             out = out * base**d
     return out
 
 
-def step(ede: ScalarEde, i: int, x, y, f: Poly) -> Poly:
-    """One digit step on summand i: multiply by the base power, section by y."""
-    return (f * base_power(ede, i, x)).section(y)
+def step(ede, i: int, x, y, f):
+    """One digit step on summand i: multiply by the base power and C', section by y."""
+    return (f * base_power(ede, i, x) * ede.conjugator).section(y)
 
 
-def extend_residues(ede: ScalarEde, residues, x, y) -> tuple:
+def extend_residues(ede, residues, x, y) -> tuple:
     """Apply the digit step componentwise, the same (x, y) for every summand."""
     residues = tuple(residues)
     if len(residues) != ede.s:
@@ -138,7 +165,7 @@ def extend_residues(ede: ScalarEde, residues, x, y) -> tuple:
     return tuple(step(ede, i + 1, x, y, f) for i, f in enumerate(residues))
 
 
-def extend_state(ede: ScalarEde, state, x) -> frozenset:
+def extend_state(ede, state, x) -> frozenset:
     """All residue tuples reachable from ``state`` by consuming letter x."""
     return frozenset(
         extend_residues(ede, tau, x, y) for tau in state for y in ede.section_alphabet
@@ -159,37 +186,59 @@ def is_accepting_state(state) -> bool:
     return all(is_accepting_residues(tau) for tau in state)
 
 
-def initial_state(ede: ScalarEde) -> frozenset:
+def initial_state(ede) -> frozenset:
     return frozenset({tuple(ede.q)})
 
 
-def span_entries(ede: ScalarEde) -> tuple:
-    """(start entries, acceptance groups) for :mod:`span`: one entry per summand, all summed."""
-    return ede.q, (0,) * ede.s
+def span_entries(ede) -> tuple:
+    """(start entries, acceptance groups) for :mod:`span`.
+
+    Residue tuples flatten to s*n^2 entries, summand by summand, each ring
+    element row-major; entry (i, a, b) is summed with the (a, b) entries of
+    the other summands.
+    """
+    entries = tuple(f for elem in ede.q for f in ede.entries(elem))
+    return entries, tuple(range(ede.n * ede.n)) * ede.s
 
 
-def span_moves(ede: ScalarEde) -> dict:
-    """The (source, target, multiplier) triples of every letter: summand i times its base power."""
-    return {
-        x: [(i, i, base_power(ede, i + 1, x)) for i in range(ede.s)]
-        for x in ede.exponent_alphabet
-    }
+def span_moves(ede) -> dict:
+    """The (source, target, multiplier) triples of every letter.
+
+    Entry (i, a, b) of an image sums entry (i, a, k) times entry (k, b) of
+    summand i's multiplier (base power times C') over k.
+    """
+    n, cprime = ede.n, ede.conjugator
+    moves = {}
+    for x in ede.exponent_alphabet:
+        moves[x] = []
+        for i in range(ede.s):
+            mult = ede.entries(base_power(ede, i + 1, x) * cprime)
+            for a, k, b in itertools.product(range(n), repeat=3):
+                moves[x].append(((i * n + a) * n + k, (i * n + a) * n + b, mult[k * n + b]))
+    return moves
 
 
-def explore(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP):
+def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
     """Reachable span states; returns (state keys, transition table).
 
     Each key is the frozenset of residue tuples forming the echelon basis of
     its span (see :mod:`span`), so the predicates above apply to it as-is.
     """
+    size = ede.n * ede.n
     bases, transitions = span.explore(
         ede.field, ede.r, degree_bound(ede)[1], [span_entries(ede)[0]],
         ede.exponent_alphabet, span_moves(ede), state_cap,
     )
-    return [frozenset(basis) for basis in bases], transitions
+    keys = [
+        frozenset(
+            tuple(ede.element(row[i * size:(i + 1) * size]) for i in range(ede.s)) for row in basis
+        )
+        for basis in bases
+    ]
+    return keys, transitions
 
 
-def build_automaton(ede: ScalarEde, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
+def build_automaton(ede, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """The DFA over exponent letters accepting exactly the solution words."""
     entries, groups = span_entries(ede)
     finals, transitions = span.explore(

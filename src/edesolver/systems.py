@@ -8,23 +8,24 @@ coefficient-free equations, one per last-digit tuple d:
 
     sum_i  coeff_i(d) * Q_i * prod_k P_ik^{d_k}  *  prod_k (P_ik^p)^{m_k} = 0 .
 
-The peeled equations of one system share their bases (P_ik^p, and the
-conjugator C' for companion rings) whatever d is, so they share one step
-map.  :func:`solve_system` lays the flattened entries of all equations
-side by side, making the step maps block-diagonal, and runs one span
-exploration (:mod:`span`) for the whole system: a pre-initial state reads
-the last digit d and moves to the span of the peeled starting residues for
-d, one row per equation; a span accepts when every equation's residues
-cancel; the empty word, the zero tuple, is checked directly.
+The peeled equations are ``ScalarEde`` or ``MatrixEde`` instances, and
+the equation layer of :mod:`scalar` serves both rings alike.  The peeled
+equations of one system share their bases (P_ik^p, and the conjugator C')
+whatever d is, so they share one step map.  :func:`solve_system` lays the
+flattened entries of all equations side by side, making the step maps
+block-diagonal, and runs one span exploration (:mod:`span`) for the whole
+system: a pre-initial state reads the last digit d and moves to the span
+of the peeled starting residues for d, one row per equation; a span
+accepts when every equation's residues cancel.  The empty word, the zero
+tuple, accepts when the starting residues of the zero prefix d = 0 cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import companion as companion_mod
 from . import digits, fsa, scalar, span
-from .companion import CompanionSpec, MatrixEde, PolyMatrix, evaluate_at_companion
+from .companion import CompanionSpec, MatrixEde, evaluate_at_companion
 from .errors import StructureError
 from .gfpoly import Poly, PrimeField
 
@@ -150,10 +151,9 @@ def peel_last_digits(sys: SystemSpec) -> list:
     """
     parts = [_peel_parts(sys, eq) for eq in sys.equations]
     out = [(x, tuple(_peel(sys, pc, x) for pc in parts)) for x in digits.alphabet(sys.field.p, sys.t)]
-    if sys.companion is not None:
-        cprime = out[0][1][0].conjugator
-        for ede in (ede for _, edes in out for ede in edes):
-            vars(ede)["conjugator"] = cprime  # fill the cached property
+    cprime = out[0][1][0].conjugator
+    for ede in (ede for _, edes in out for ede in edes):
+        vars(ede)["conjugator"] = cprime  # fill the cached property
     return out
 
 
@@ -161,20 +161,11 @@ def solves_at_zero(sys: SystemSpec, equation) -> bool:
     """Whether the zero tuple solves one equation.
 
     At n = 0 every exponential factor is 1, so the left-hand side is just
-    sum_i coeff_i(0) * q_i, evaluated directly.
+    sum_i coeff_i(0) * q_i: the starting residues of the equation peeled
+    at the zero prefix, which cancel exactly when it vanishes.
     """
-    p = sys.field.p
-    zero_pt = (0,) * sys.t
-    if sys.companion is None:
-        total = Poly.zero(sys.field, sys.r)
-        for sm in equation:
-            total = total + sm.q * _coeff_at(sm, zero_pt, p)
-        return total.is_zero()
-    spec = sys.companion
-    total = PolyMatrix.zero(sys.field, sys.r, spec.n)
-    for sm in equation:
-        total = total + evaluate_at_companion(sm.q, spec) * _coeff_at(sm, zero_pt, p)
-    return total.is_zero()
+    zero = (0,) * sys.t
+    return scalar.is_accepting_residues(_peel(sys, _peel_parts(sys, equation), zero).q)
 
 
 def equation_language(sys: SystemSpec, equation, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
@@ -190,15 +181,14 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     the zero tuple solves every equation.  ``state_cap`` bounds the joint
     exploration.
     """
-    ring = scalar if sys.companion is None else companion_mod
     peeled = peel_last_digits(sys)
     letters = tuple(prefix for prefix, _ in peeled)
     moves = {x: [] for x in letters}
     groups = []  # acceptance group of every entry, equations side by side
     for e, ede in enumerate(peeled[0][1]):  # moves do not depend on the prefix
         offset = len(groups)
-        groups += [(e, g) for g in ring.span_entries(ede)[1]]
-        for x, triples in ring.span_moves(ede).items():
+        groups += [(e, g) for g in scalar.span_entries(ede)[1]]
+        for x, triples in scalar.span_moves(ede).items():
             moves[x] += [(a + offset, b + offset, f) for a, b, f in triples]
     zero = Poly.zero(sys.field, sys.r)
     starts = {}
@@ -206,16 +196,16 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
         starts[prefix] = []
         offset = 0
         for ede in edes:
-            entries = ring.span_entries(ede)[0]
+            entries = scalar.span_entries(ede)[0]
             row = [zero] * len(groups)
             row[offset:offset + len(entries)] = entries
             starts[prefix].append(row)
             offset += len(entries)
-    bound = max(ring.degree_bound(ede)[1] for _, edes in peeled for ede in edes)
+    bound = max(scalar.degree_bound(ede)[1] for _, edes in peeled for ede in edes)
     finals, transitions = span.explore(
         sys.field, sys.r, bound, starts, letters, moves, state_cap, accept=groups
     )
-    if all(solves_at_zero(sys, eq) for eq in sys.equations):
+    if all(scalar.is_accepting_residues(ede.q) for ede in peeled[0][1]):  # the zero prefix
         finals.add(0)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]
     return fsa.Automaton(sys.field.p, sys.t, labels, transitions, 0, finals)

@@ -64,8 +64,16 @@ def test_matrix_arithmetic():
     assert (B2 * 2).is_zero()
     assert B2**0 == ident
     assert B2**1 == B2
+    product = ident
+    for k in range(34):
+        assert B2**k == product
+        product = product * B2
     with pytest.raises(StructureError):
         B2 + PolyMatrix.identity(F2, 1, 3)
+    with pytest.raises(StructureError):
+        B2 ** (-1)
+    with pytest.raises(StructureError):
+        B2**2.0
 
 
 def test_matrix_scalar_poly_multiplication():
@@ -284,6 +292,10 @@ def test_n1_degenerates_to_scalar_engine():
     for matrix_ede, scalar_ede in suites.n1_pairs():
         m_aut = build_automaton(matrix_ede)
         s_aut = scalar.build_automaton(scalar_ede)
+        # the order-one ring is the scalar ring: the same build, not only the same language
+        assert m_aut.transitions == s_aut.transitions
+        assert m_aut.finals == s_aut.finals
+        assert m_aut.initial == s_aut.initial
         p = scalar_ede.field.p
         for length in range(5):
             for combo in itertools.product(

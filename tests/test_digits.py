@@ -8,9 +8,7 @@ from edesolver.digits import (
     DigitWord,
     alphabet,
     check_letter,
-    decode,
     digit_length,
-    encode,
     format_word,
 )
 from edesolver.errors import CapacityError, StructureError
@@ -53,22 +51,22 @@ def test_decode_examples():
 
 
 def test_encode_examples():
-    assert encode((0,), 2, 1, length=0) == DigitWord(2, 1, ())
-    assert encode((5,), 2, 1, length=3) == DigitWord(2, 1, ((1,), (0,), (1,)))
-    assert encode((7, 2), 3, 2, length=2) == DigitWord(3, 2, ((1, 2), (2, 0)))
+    assert DigitWord.encode((0,), 2, 1, length=0) == DigitWord(2, 1, ())
+    assert DigitWord.encode((5,), 2, 1, length=3) == DigitWord(2, 1, ((1,), (0,), (1,)))
+    assert DigitWord.encode((7, 2), 3, 2, length=2) == DigitWord(3, 2, ((1, 2), (2, 0)))
 
 
 def test_encode_minimal_length_default():
-    assert len(encode((5,), 2, 1)) == 3
-    assert len(encode((0, 0), 2, 2)) == 0
-    assert len(encode((4, 1), 2, 2)) == 3
+    assert len(DigitWord.encode((5,), 2, 1)) == 3
+    assert len(DigitWord.encode((0, 0), 2, 2)) == 0
+    assert len(DigitWord.encode((4, 1), 2, 2)) == 3
 
 
 def test_encode_rejects_short_length():
     with pytest.raises(StructureError):
-        encode((5,), 2, 1, length=2)
+        DigitWord.encode((5,), 2, 1, length=2)
     with pytest.raises(StructureError):
-        encode((-1,), 2, 1)
+        DigitWord.encode((-1,), 2, 1)
 
 
 def test_word_validation():
@@ -105,14 +103,14 @@ def tuples_with_shape(draw):
 @given(tuples_with_shape())
 def test_decode_encode_round_trip(shape):
     p, w, values = shape
-    assert encode(values, p, w).decode() == values
+    assert DigitWord.encode(values, p, w).decode() == values
 
 
 @settings(max_examples=100)
 @given(tuples_with_shape(), st.integers(0, 3))
 def test_zero_padding_never_changes_the_value(shape, pad):
     p, w, values = shape
-    word = encode(values, p, w)
+    word = DigitWord.encode(values, p, w)
     for _ in range(pad):
         word = word.with_tail_letter((0,) * w)
     assert word.decode() == values

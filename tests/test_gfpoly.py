@@ -131,8 +131,15 @@ def test_pow():
     x = Poly.variable(F3, 1, 0)
     assert (x + 1) ** 3 == P("1:3 + 1:0", F3)  # Frobenius again
     assert x**0 == Poly.one(F3, 1)
+    f = P("2:2 + 1:1 + 1:0", F3)
+    product = Poly.one(F3, 1)
+    for k in range(34):
+        assert f**k == product
+        product = product * f
     with pytest.raises(StructureError):
         x ** (-1)
+    with pytest.raises(StructureError):
+        x**2.0
 
 
 # ------------------------------------------------------------------ degrees
