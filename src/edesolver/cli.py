@@ -165,9 +165,12 @@ def _state_cap(args) -> int:
     env = os.environ.get("EDE_STATE_CAP")
     if env:
         try:
-            return parse_int(env)
+            cap = parse_int(env)
         except ValueError as exc:
             raise SpecFileError(f"EDE_STATE_CAP={env!r} is not an integer") from exc
+        if cap < 1:
+            raise SpecFileError(f"EDE_STATE_CAP={env!r} is below 1")
+        return cap
     return fsa.DEFAULT_STATE_CAP
 
 
@@ -194,6 +197,13 @@ def _natural(text: str) -> int:
     value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
     return value
 
 
@@ -268,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("spec", help="path to a JSON equation spec")
         sp.add_argument(
-            "--state-cap", type=_integer, default=None,
+            "--state-cap", type=_positive, default=None,
             help="max automaton states (default: EDE_STATE_CAP or "
             f"{fsa.DEFAULT_STATE_CAP})",
         )

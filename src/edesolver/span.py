@@ -21,7 +21,7 @@ lives in.  They lie in the box of total degree <= N, the degree bound,
 which the step maps into itself, so a coordinate outside it is a bug and
 raises.
 
-Step maps.  For each digit letter x one dense matrix over F_p holds the
+Step maps.  For each digit letter x one matrix over F_p holds the
 images under every section letter side by side: the row vector v times
 L_x, cut into p^r blocks of the coordinate width, lists the p^r images of v.
 Column (y, entry b, monomial g) of row (entry a, monomial e) is read off the
@@ -37,12 +37,27 @@ entry groups: a row accepts when, within every group, the entries sum to
 zero monomial by monomial, that is when it lies in the kernel of the 0/1
 matrix A summing each group's entries at each monomial.
 
-States.  A state is the reduced row-echelon basis of its span, keyed by the
-bytes of that basis; the successor under x is the echelon form of the
-stacked images of the basis rows.  Products are numpy int64, reduced mod p
-after every product; a product sums at most width * (p-1)^2, which the cap
-on step-matrix cells (width^2 * p^r per letter) keeps below 2^60.  Spans
-are small (tens of coordinates), so the elimination runs on Python lists.
+States.  A state is the reduced row-echelon basis of its span; the
+successor under x is the echelon form of the stacked images of the basis
+rows.  The echelon form is canonical, so both representations below give
+the same states in the same order.
+
+Over F_2 a row is one Python int, column j at bit width - 1 - j, so the
+leading column is the top bit.  L_x is a list of width ints of 2^r * width
+bits; the image of a row is the XOR of the entries at its set bits, and
+section letter y owns one width-bit lane of it.  Elimination is XOR, and
+the key is one int: the echelon rows in consecutive width-bit lanes.  It is
+not a tuple of row ints: CPython keeps freed tuples of each small length on
+freelists (up to 2000 per length) that only a full collection empties, and
+tuple keys raised the peak memory of a matrix-suite benchmark run by about
+1.7 MB (5 %).  A row accepts when it meets every column of A, as a mask, in
+an even number of bits.
+
+For p > 2 the key is the bytes of the basis as a numpy int64 matrix.
+Products are reduced mod p after every product; a product sums at most
+width * (p-1)^2, which the cap on step-matrix cells (width^2 * p^r per
+letter) keeps below 2^60.  Spans are small (tens of coordinates), so the
+elimination runs on Python lists.
 """
 
 from __future__ import annotations
@@ -93,14 +108,18 @@ def _coordinates(rows, moves, p: int, r: int, bound: int, num_letters: int) -> l
     return sorted(seen)
 
 
-def _step_matrices(coords, index, p: int, r: int, letters, moves):
-    """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
+def _step_cells(coords, index, p: int, r: int, letters, moves) -> list:
+    """The terms of every L_x, as (letter, row, column, coefficient) cells.
+
+    Row i is a coordinate, column y * width + j the coordinate j of section
+    letter y.  A cell may repeat: its coefficients add up.
+    """
     width = len(coords)
     of_entry = {}
     for i, (a, e) in enumerate(coords):
         of_entry.setdefault(a, []).append((i, e))
     weights = [p ** (r - 1 - k) for k in range(r)]
-    cells = ([], [], [], [])  # letter, row, column, coefficient
+    cells = []
     for l, x in enumerate(letters):
         for a, b, f in moves[x]:
             for i, e in of_entry.get(a, ()):
@@ -108,12 +127,81 @@ def _step_matrices(coords, index, p: int, r: int, letters, moves):
                     total = [ei + ui for ei, ui in zip(e, u)]
                     y = sum(w * (v % p) for w, v in zip(weights, total))
                     j = index[b, tuple(v // p for v in total)]
-                    for cell, value in zip(cells, (l, i, y * width + j, c)):
-                        cell.append(value)
+                    cells.append((l, i, y * width + j, c))
+    return cells
+
+
+def _step_matrices(coords, index, p: int, r: int, letters, moves):
+    """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
+    width = len(coords)
     out = np.zeros((len(letters), width, p**r * width), dtype=np.int64)
-    letter, row, col, coeff = (np.array(cell, dtype=np.int64) for cell in cells)
-    np.add.at(out, (letter, row, col), coeff)
+    cells = np.array(_step_cells(coords, index, p, r, letters, moves), dtype=np.int64).reshape(-1, 4)
+    np.add.at(out, tuple(cells[:, :3].T), cells[:, 3])
     return out % p
+
+
+def _packed_step_maps(coords, index, r: int, letters, moves):
+    """L_x over F_2 for every letter x, one int per coordinate.
+
+    Entry b of a letter's list is the image of the row whose only set bit is
+    b, that is of coordinate width - 1 - b; column J of the dense L_x is its
+    bit 2^r * width - 1 - J, so section letter y fills one width-bit lane.
+    """
+    width = len(coords)
+    top = 2**r * width - 1
+    maps = [[0] * width for _ in letters]
+    for l, i, col, _ in _step_cells(coords, index, 2, r, letters, moves):  # every coefficient is 1
+        maps[l][width - 1 - i] ^= 1 << (top - col)
+    return maps
+
+
+def _image(row: int, step: list) -> int:
+    """The image of a packed row under a packed step map: XOR over its set bits."""
+    out = 0
+    while row:
+        low = row & -row
+        out ^= step[low.bit_length() - 1]
+        row ^= low
+    return out
+
+
+def _xor_echelon(rows, width: int) -> int:
+    """Reduced row-echelon form over F_2 of packed rows, as one key.
+
+    The nonzero echelon rows, leading column (top bit) first, fill
+    consecutive width-bit lanes of the key from the top lane down.
+    """
+    pivots = {}  # leading bit -> row
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = row
+                break
+            row ^= prow
+    leads = sorted(pivots)
+    used = 0  # the leading bits below the current one; their rows are reduced
+    for lead in leads:
+        row = pivots[lead]
+        hits = row & used
+        while hits:
+            bit = hits.bit_length() - 1
+            row ^= pivots[bit]
+            hits ^= 1 << bit
+        pivots[lead] = row
+        used |= 1 << lead
+    key = 0
+    for lead in reversed(leads):
+        key = key << width | pivots[lead]
+    return key
+
+
+def _unpack(key: int, width: int) -> list:
+    """The echelon rows of a packed key, leading column first."""
+    mask = (1 << width) - 1
+    count = -(-key.bit_length() // width) if key else 0
+    return [key >> (width * k) & mask for k in range(count - 1, -1, -1)]
 
 
 def _echelon(a, p: int):
@@ -168,41 +256,74 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
     coords = _coordinates(rows, moves, p, r, bound, len(letters))
     width = len(coords)
     index = {c: i for i, c in enumerate(coords)}
-    maps = dict(zip(letters, _step_matrices(coords, index, p, r, letters, moves)))
 
-    def span_of(start_rows):
-        a = np.zeros((len(start_rows), width), dtype=np.int64)
-        for k, row in enumerate(start_rows):
-            for j, f in enumerate(row):
-                for e, c in f.terms.items():
-                    a[k, index[j, e]] = c
-        return _echelon(a, p).tobytes()
+    cols = {}  # column k of A sums one acceptance group at one monomial
+    column_of = [] if accept is None else [cols.setdefault((accept[j], e), len(cols)) for j, e in coords]
 
-    def basis(key):
-        if not width:  # all starts are zero: every state is the zero space
-            return np.zeros((0, 0), dtype=np.int64)
-        return np.frombuffer(key, dtype=np.int64).reshape(-1, width)
+    if p == 2:
+        maps = dict(zip(letters, _packed_step_maps(coords, index, r, letters, moves)))
+        lane = (1 << width) - 1
+        shifts = [width * (sections - 1 - y) for y in range(sections)]
+
+        def span_of(start_rows):  # every coefficient is 1
+            return _xor_echelon(
+                [sum(1 << (width - 1 - index[j, e]) for j, f in enumerate(row) for e in f.terms) for row in start_rows],
+                width,
+            )
+
+        def step(key, x):
+            step_map = maps[x]
+            images = [_image(row, step_map) for row in _unpack(key, width)]
+            return _xor_echelon([image >> shift & lane for image in images for shift in shifts], width)
+
+        def basis(key):
+            return [[row >> (width - 1 - j) & 1 for j in range(width)] for row in _unpack(key, width)]
+
+        masks = [0] * len(cols)  # the 1s of each column of A
+        for i, k in enumerate(column_of):
+            masks[k] |= 1 << (width - 1 - i)
+
+        def accepting(key):
+            return not any((row & mask).bit_count() & 1 for row in _unpack(key, width) for mask in masks)
+    else:
+        maps = dict(zip(letters, _step_matrices(coords, index, p, r, letters, moves)))
+
+        def span_of(start_rows):
+            a = np.zeros((len(start_rows), width), dtype=np.int64)
+            for k, row in enumerate(start_rows):
+                for j, f in enumerate(row):
+                    for e, c in f.terms.items():
+                        a[k, index[j, e]] = c
+            return _echelon(a, p).tobytes()
+
+        def matrix(key):
+            if not width:  # all starts are zero: every state is the zero space
+                return np.zeros((0, 0), dtype=np.int64)
+            return np.frombuffer(key, dtype=np.int64).reshape(-1, width)
+
+        def step(key, x):
+            b = matrix(key)
+            return _echelon((b @ maps[x] % p).reshape(len(b) * sections, width), p).tobytes()
+
+        def basis(key):
+            return matrix(key).tolist()
+
+        sums = np.zeros((width, len(cols)), dtype=np.int64)
+        for i, k in enumerate(column_of):
+            sums[i, k] = 1
+
+        def accepting(key):
+            return not (matrix(key) @ sums % p).any()
 
     def delta(key, x):
-        if key is None:
-            return first[x]
-        b = basis(key)
-        return _echelon((b @ maps[x] % p).reshape(len(b) * sections, width), p).tobytes()
+        return first[x] if key is None else step(key, x)
 
     first = {d: span_of(starts[d]) for d in letters} if dispatch else None
     initial = None if dispatch else span_of(starts)
     keys, transitions = fsa.explore_dfa(letters, initial, delta, state_cap)
 
     if accept is not None:
-        # column k of A sums one acceptance group at one monomial
-        cols = {}
-        sums = np.zeros((width, width), dtype=np.int64)
-        for i, (j, e) in enumerate(coords):
-            sums[i, cols.setdefault((accept[j], e), len(cols))] = 1
-        finals = {
-            i for i, key in enumerate(keys)
-            if key is not None and not (basis(key) @ sums % p).any()
-        }
+        finals = {i for i, key in enumerate(keys) if key is not None and accepting(key)}
         return finals, transitions
 
     # coords are sorted by entry, so each entry owns one slice of a row
@@ -218,6 +339,6 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
         return polys[key]
 
     def decode(key):
-        return [tuple(poly(j, row[sl]) for j, sl in enumerate(slices)) for row in basis(key).tolist()]
+        return [tuple(poly(j, row[sl]) for j, sl in enumerate(slices)) for row in basis(key)]
 
     return (decode(key) for key in keys), transitions

@@ -325,6 +325,18 @@ def test_state_cap_env(capsys, monkeypatch):
     assert run(capsys, "build", THETA_EQ)[0] == 2
 
 
+@pytest.mark.parametrize("text", ["0", "-1", "-5"])
+def test_state_cap_below_one_is_bad_input(capsys, monkeypatch, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", THETA_EQ, "--state-cap", text])
+    assert exc.value.code == 2
+    assert "--state-cap" in capsys.readouterr().err
+    monkeypatch.setenv("EDE_STATE_CAP", text)
+    code, _, err = run(capsys, "build", THETA_EQ)
+    assert code == 2
+    assert "EDE_STATE_CAP" in err and "capacity" not in err
+
+
 def test_enum_word_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ENUM_WORD_CAP", 5)
     code, _, err = run(capsys, "enum", THETA_EQ, "--max-len", "4")

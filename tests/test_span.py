@@ -8,7 +8,11 @@ Before minimizing, the finals a build picks by its kernel test must be the
 span states whose decoded basis (``explore``) passes the set predicate.
 """
 
+import contextlib
+import hashlib
+import io
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import suites
-from edesolver import companion, fsa, scalar, span
+from edesolver import cli, companion, fsa, scalar, span
 from edesolver.errors import CapacityError
 from edesolver.gfpoly import Poly, PrimeField
 from edesolver.scalar import ScalarEde
@@ -138,6 +142,55 @@ def test_echelon_is_the_canonical_reduced_form(data):
     assert span._echelon(e, p).tobytes() == e.tobytes()
 
 
+def bits(row: int, width: int) -> list:
+    """The 0/1 coefficients of a packed row, leading column (top bit) first."""
+    return [row >> (width - 1 - j) & 1 for j in range(width)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_echelon_equals_the_dense_form(data):
+    rows, width = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 40))
+    packed = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=rows, max_size=rows))
+    for pick in data.draw(st.lists(st.integers(0, 2**rows - 1), max_size=4)):
+        combo = 0  # a dependent row: the XOR of the rows the bits of pick select
+        for k in range(rows):
+            if pick >> k & 1:
+                combo ^= packed[k]
+        packed.append(combo)
+    a = np.array([bits(row, width) for row in packed], dtype=np.int64).reshape(len(packed), width)
+    key = span._xor_echelon(packed, width)
+    assert [bits(row, width) for row in span._unpack(key, width)] == span._echelon(a, 2).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_step_images_equal_the_dense_products(data):
+    r, entries = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * r)
+
+    def poly():
+        return Poly(F2, r, dict.fromkeys(data.draw(st.lists(exponents, max_size=3)), 1))
+
+    def entry():
+        return data.draw(st.integers(0, entries - 1))
+
+    letters = ((0,), (1,))
+    moves = {x: [(entry(), entry(), poly()) for _ in range(data.draw(st.integers(0, 4)))] for x in letters}
+    start = [tuple(poly() for _ in range(entries))]
+    coords = span._coordinates(start, moves, 2, r, 3 * r, len(letters))
+    index = {c: i for i, c in enumerate(coords)}
+    width, sections = len(coords), 2**r
+    dense = span._step_matrices(coords, index, 2, r, letters, moves)
+    packed = span._packed_step_maps(coords, index, r, letters, moves)
+    row = data.draw(st.integers(0, 2**width - 1))
+    for l in range(len(letters)):
+        want = (np.array(bits(row, width), dtype=np.int64) @ dense[l] % 2).reshape(sections, width)
+        image = span._image(row, packed[l])
+        for y in range(sections):
+            assert bits(image >> width * (sections - 1 - y), width) == want[y].tolist()
+
+
 # ---------------------------------------------------------------- guards
 
 F2 = PrimeField(2)
@@ -185,3 +238,26 @@ def test_high_degree_start_tracks_only_reachable_coordinates():
     keys, _ = scalar.explore(ede)
     assert len(keys) == 13
     assert_same_minimal_automaton(scalar, ede)
+
+
+# ------------------------------------------------------------ pinned outputs
+
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+
+# SHA-256 of the raw automata of both suites and of `edesolver build` on the
+# bundled specs.  Any engine change must leave state numbering, finals and
+# exports byte-identical, so this digest changes only with the languages.
+PINNED_DIGEST = "358aea6ea5ba7817473c00ead01091caa427df430e92af662f5ca7c96c6baefb"
+
+
+def test_raw_automata_and_bundled_builds_are_pinned():
+    digest = hashlib.sha256()
+    for ede in suites.scalar_suite() + suites.matrix_suite():
+        raw = scalar.build_automaton(ede)
+        digest.update(repr((raw.transitions, sorted(raw.finals), raw.initial)).encode())
+    for path in sorted(SPECS.glob("*.json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["build", str(path)])
+        digest.update(f"{path.name} {code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == PINNED_DIGEST
