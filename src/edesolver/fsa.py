@@ -23,8 +23,11 @@ def explore_dfa(letters, initial_key, delta, state_cap: int = DEFAULT_STATE_CAP)
 
     ``delta(key, letter)`` must be a pure function on hashable state keys.
     Returns (keys, transitions) with keys[0] == initial_key and transitions
-    a list of per-state lists aligned with ``letters``.
+    a list of per-state lists aligned with ``letters``.  A ``state_cap``
+    below 1 is a StructureError: it admits not even the initial state.
     """
+    if state_cap < 1:
+        raise StructureError(f"state cap must be at least 1, got {state_cap}")
     index = {initial_key: 0}
     keys = [initial_key]
     transitions = []

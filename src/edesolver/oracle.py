@@ -8,7 +8,16 @@ automaton is evidence for the construction rather than for itself.
 
 ``compare`` checks every word up to a length bound.  One dense kernel
 tabulates the solution set over the decoded exponent grid [0, p^max_len)^t
-for scalar and companion rings alike: a ring element is an (n, n, *extent)
+for scalar and companion rings alike.  It first divides out the equation's
+monomial content: theta^a, the largest monomial dividing every term of
+every q, and theta^(b_k), the largest dividing every nonzero base k, so
+
+    sum_i c_i(n) q_i prod_k P_ik^(n_k)
+        = theta^(a + sum_k b_k n_k) * sum_i c_i(n) q'_i prod_k P'_ik^(n_k).
+
+A monomial is not a zero divisor in F_p[theta], nor, as a scalar, in a
+matrix ring over it, so the reduced sum vanishes exactly where the equation
+does, and its products are smaller.  A ring element is an (n, n, *extent)
 array mod p (n = 1 for a scalar ring) that grows with its degree, and a
 product by a base adds one shifted copy per term, reduced only where the
 base's coefficients can reach p: literal multiplication with no shortcuts
@@ -119,14 +128,35 @@ def is_solution(spec, values, cache: dict | None = None) -> bool:
 # dense solution grids
 
 
-def _factor(elem, p: int) -> tuple:
-    """(largest exponents, [(k, b, exponents, coeff)], bound) of a ring element."""
-    rows = ((elem,),) if isinstance(elem, Poly) else elem.rows
+def _rows(elem) -> tuple:
+    """The entry rows of a ring element; a Poly is a 1 x 1 matrix."""
+    return ((elem,),) if isinstance(elem, Poly) else elem.rows
+
+
+def _content(elems, r: int) -> tuple:
+    """Exponents of the largest monomial dividing every term of every element."""
+    exps = [e for x in elems for row in _rows(x) for f in row for e in f.terms]
+    return tuple(map(min, zip(*exps))) if exps else (0,) * r
+
+
+def _factor(elem, p: int, shift: tuple = ()) -> tuple:
+    """(largest exponents, [(k, b, exponents, coeff)], bound) of elem / theta^shift.
+
+    theta^shift must divide every term of elem; an empty shift divides by 1.
+    """
+    rows = _rows(elem)
     terms = [(k, b, e, c) for k, row in enumerate(rows) for b, f in enumerate(row) for e, c in f.terms.items()]
-    tops = tuple(max((e[v] for _, _, e, _ in terms), default=0) for v in range(elem.num_vars))
+    if any(shift):
+        terms = [(k, b, tuple(x - s for x, s in zip(e, shift)), c) for k, b, e, c in terms]
+    # star-unpack a list, not a generator: CPython builds a generator's argument
+    # tuple by resizing, which fills its per-length tuple freelists (on
+    # matrix-suite, 1.6 MB more peak RSS)
+    tops = tuple(map(max, zip(*[e for _, _, e, _ in terms]))) if terms else (0,) * elem.num_vars
     # (p-1) times the largest coefficient sum in one target column bounds a product
-    load = max((sum(c for _, j, _, c in terms if j == b) for _, b, _, _ in terms), default=0)
-    return tops, terms, (p - 1) * load
+    load = [0] * len(rows)
+    for _, b, _, c in terms:
+        load[b] += c
+    return tops, terms, (p - 1) * max(load)
 
 
 def _reduce(arr, p: int, top: int):
@@ -164,7 +194,8 @@ def _times(arr, factor, p: int):
 def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     """Boolean grid over [0, n_max)^t: True where the equation vanishes.
 
-    Per summand the running product q_i * prod_k P_ik^{n_k} is a batch of
+    Per summand the running product q_i * prod_k P_ik^{n_k}, with the
+    equation's monomial content divided out, is a batch of
     (n, n, *extent) arrays whose extent grows with its degree.  Axes 0..t-3
     advance in odometer order, one prefix at a time; consecutive indices on
     axis t-2 are zero-padded to one extent and stacked into batches.  Each
@@ -186,34 +217,39 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
     lead, last = len(shape) - t, len(shape) - 1
     q0 = summands[0][1]
     n, r = (1 if isinstance(q0, Poly) else q0.n), q0.num_vars
-    starts = [_factor(q, p) for _, q, _ in summands]
-    factors = [[_factor(b, p) for b in bases] for _, _, bases in summands]
+    # theta^content divides every q, and theta^(shift_k) every nonzero base k
+    content = _content([q for _, q, _ in summands], r)
+    shifts = [_content([bases[k] for _, _, bases in summands], r) for k in range(t)]
+    starts = [_factor(q, p, content) for _, q, _ in summands]
+    factors = [[_factor(b, p, s) for b, s in zip(bases, shifts)] for _, _, bases in summands]
     final = tuple(
         max(top[v] + 1 + (n_max - 1) * sum(f[0][v] for f in fs) for (top, _, _), fs in zip(starts, factors))
         for v in range(r)
     )
-    factors = [[None] * lead + fs for fs in factors]
     cells = n * n * math.prod(final)
     batch_cap = max(1, min(shape[last - 1], BATCH_CELLS // cells))
     block, levels = 1, 0  # block = p^levels, the largest dividing n_max that fits the cap
     while n_max % (block * p) == 0 and block * p * batch_cap * cells <= BATCH_CELLS:
         block, levels = block * p, levels + 1
-    # P^(p^j) for j < levels, and P^block once a second block follows: literal powers
+    # P^(p^j) for j < levels, and P^block once a second block follows: literal
+    # powers, divided by theta^(p^j shift); the first is the base's own factor
     powers = []
-    for _, _, bases in summands:
-        pw = [bases[-1]]
-        while len(pw) < levels + (block < n_max):
-            pw.append(pw[-1] ** p)
-        powers.append([_factor(f, p) for f in pw])
+    for (_, _, bases), fs in zip(summands, factors):
+        pw, out = bases[-1], [fs[-1]]
+        while len(out) < levels + (block < n_max):
+            pw = pw**p
+            out.append(_factor(pw, p, tuple(s * p ** len(out) for s in shifts[-1])))
+        powers.append(out)
     plain = all(c is None for c, _, _ in summands)
     # largest unreduced sum of the zero test, and of any product column
     test_bound = (p - 1) ** (1 if plain else 2) * len(summands)
     bound = max(
         [test_bound]
         + [f[2] for f in starts]
-        + [f[2] for fs in factors for f in fs[lead:]]
+        + [f[2] for fs in factors for f in fs]
         + [f[2] for fs in powers for f in fs]
     )
+    factors = [[None] * lead + fs for fs in factors]
     dtype = np.int16 if bound < 1 << 15 else np.int64
     residues = list(itertools.product(range(p), repeat=t))
     tables = [
@@ -249,7 +285,8 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
             if plain and len(arrs) == 1:
                 acc = arrs[0]
             else:
-                acc = np.zeros(arrs[0].shape[:3] + tuple(map(max, zip(*(a.shape[3:] for a in arrs)))), dtype)
+                # star-unpack a list: see _factor
+                acc = np.zeros(arrs[0].shape[:3] + tuple(map(max, zip(*[a.shape[3:] for a in arrs]))), dtype)
                 es = (e0 + np.arange(block)) % p
                 for a, col in zip(arrs, cols):
                     acc[corner(a)] += a if plain else a * col[es].reshape((-1,) + (1,) * (2 + r))
@@ -274,6 +311,7 @@ def _equation_zero_grid(p: int, t: int, summands, n_max: int):
 
     one = np.eye(n, dtype=dtype).reshape((1, n, n) + (1,) * r)
     walk([_times(one, start, p) for start in starts], ())
+    walk = None  # walk reaches itself through its closure: free that cycle, and its arrays, now
     return result.reshape((n_max,) * t)
 
 

@@ -63,6 +63,7 @@ elimination runs on Python lists.
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -271,9 +272,13 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
                 width,
             )
 
+        @functools.lru_cache(maxsize=1)
+        def rows_of(key):  # explore_dfa steps one key by every letter in a row
+            return _unpack(key, width)
+
         def step(key, x):
             step_map = maps[x]
-            images = [_image(row, step_map) for row in _unpack(key, width)]
+            images = [_image(row, step_map) for row in rows_of(key)]
             return _xor_echelon([image >> shift & lane for image in images for shift in shifts], width)
 
         def basis(key):

@@ -1,9 +1,11 @@
 """Brute-force evaluation and exhaustive language comparison."""
 
+import gc
 import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,17 +310,109 @@ def _single_unknown_systems():
     return out
 
 
+def _content_systems():
+    """(x + 1)^n1 - x^n1 - 1, times a power of y, with monomial content to divide out.
+
+    Over F_3 the bracket vanishes exactly where n1 is a power of 3, so every
+    grid is mixed.  Each case multiplies the q's, one base of every summand,
+    or every base by a monomial; the kernel divides it out.  Two summands
+    that cancel give the q's unequal content in the first case.  The zero-base
+    summand adds 1 at n1 = 0 only, where the bracket is -1; the (n2 + 1)
+    coefficient removes n2 = 2, 5, 8.  The companion case is the same sum in
+    xi over F_2[theta], times theta in every q and base.
+    """
+    field = PrimeField(3)
+    x, y, one = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1), Poly.one(field, 2)
+    zero, m = one * 0, x * y * y
+    c = Poly.variable(field, 2, 1) + Poly.one(field, 2)
+
+    def eq(q, firsts, second, coeff=None):
+        return tuple(Summand(coeff, qi * q, (f, second)) for qi, f in zip((one, -one, -one), firsts))
+
+    plain = (x + one, x, one)
+    every = tuple(f * x * y for f in plain)
+    pair = tuple(Summand(None, q * x**3 * y**2, (x, y + one)) for q in (one, -one))
+    cases = (
+        # content in q only, where a cancelling pair of summands has more
+        pair + eq(x * x * y, plain, y + one),
+        eq(one, plain, m),  # in one base, shared by all summands
+        eq(y, every, m),  # in every base
+        eq(y, every, m) + (Summand(None, y, (zero, m)),),  # a zero base
+        eq(x, every, m) + (Summand(None, zero, (x, y)),),  # a zero q
+        eq(x * y, every, m, c),  # a poly_coeff
+    )
+    out = [SystemSpec(field, 2, 2, None, (sums,)) for sums in cases]
+    spec = suites.companion_n2_f2()
+    theta, unit, null = Poly.variable(F2, 1, 0), Poly.one(F2, 1), Poly.zero(F2, 1)
+    sums = (
+        Summand(None, (theta, null), ((theta, theta),)),
+        Summand(None, (theta, null), ((null, theta),)),
+        Summand(None, (theta, null), ((theta, null),)),
+        Summand(None, (null, null), ((unit, theta),)),
+    )
+    out.append(SystemSpec(F2, 1, 1, spec, (sums,)))
+    for sys_spec in out:  # each has content to divide out
+        (summands,) = oracle._equations(sys_spec)
+        parts = [[q for _, q, _ in summands]] + [[bases[k] for _, _, bases in summands] for k in range(sys_spec.t)]
+        assert any(any(oracle._content(elems, sys_spec.r)) for elems in parts)
+    return out
+
+
 # 1 cell: one grid point per batch and block; 1 << 8: partial blocks of the
 # last axis for a single unknown; 1 << 22: whole axes in one batch and block
 @pytest.mark.parametrize("cells", [1, 1 << 8, 1 << 22])
 def test_grid_matches_evaluation_at_any_batch_size(monkeypatch, cells):
     monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
     cases = [(spec, 9 if spec.t == 2 else 4) for spec in _unequal_degree_systems()]
+    cases += [(spec, 9 if spec.t == 2 else 16) for spec in _content_systems()]
     for spec, n_max in cases + _single_unknown_systems():
         grid = _solution_grid(spec, n_max)
         cache = {}
         for values in itertools.product(range(n_max), repeat=spec.t):
             assert bool(grid[values]) == is_solution(spec, values, cache), (spec, values)
+
+
+def test_monomial_equation_is_tabulated_in_few_small_products(monkeypatch):
+    # theta2 * theta1^n1 * (theta1 theta2)^n2 never vanishes: once its content
+    # is divided out, each product is one cell per grid point
+    field = PrimeField(3)
+    t1, t2, one = Poly.variable(field, 2, 0), Poly.variable(field, 2, 1), Poly.one(field, 2)
+    zero = one * 0
+    ede = ScalarEde(field, 2, 2, (zero, t2, zero), ((zero, zero), (t1, t1 * t2), (one, t2)))
+    work = [0, 0]
+    times = oracle._times
+
+    def counted(arr, factor, p):
+        out = times(arr, factor, p)
+        work[0] += 1
+        work[1] += out.size
+        return out
+
+    monkeypatch.setattr(oracle, "_times", counted)
+    assert not _solution_grid(ede, 81).any()
+    assert work[0] <= 100 and work[1] <= 10**4, work
+
+
+def test_grid_leaves_no_garbage_and_holds_no_memory():
+    # repeated grids must not grow the heap: no reference cycle left for the
+    # collector (it would hold the kernel's arrays until a full collection),
+    # and no allocation kept past the call
+    spec = _unequal_degree_systems()[1]  # two summands and a poly_coeff
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(200):  # fills CPython's freelists, which stay traced
+            _solution_grid(spec, 9)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(200):
+            _solution_grid(spec, 9)
+        grown = tracemalloc.get_traced_memory()[0] - before
+        assert gc.collect() == 0
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 1024, grown
 
 
 # --------------------------------------------------------------- comparison

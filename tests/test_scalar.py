@@ -204,6 +204,12 @@ def test_capacity_error_carries_count():
     assert exc.value.discovered == 2
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_state_cap_below_one_is_rejected(cap):
+    with pytest.raises(StructureError, match="at least 1"):
+        build_automaton(EDE_THETA, state_cap=cap)
+
+
 def test_rebuilds_are_identical():
     a = build_automaton(EDE_THETA)
     b = build_automaton(EDE_THETA)

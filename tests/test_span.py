@@ -191,6 +191,20 @@ def test_packed_step_images_equal_the_dense_products(data):
             assert bits(image >> width * (sections - 1 - y), width) == want[y].tolist()
 
 
+def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
+    # explore_dfa steps a key by every letter in a row: one read-back serves
+    # all of them, and the acceptance test reads each key once more
+    reads = []
+    unpack = span._unpack
+    monkeypatch.setattr(span, "_unpack", lambda key, width: reads.append(key) or unpack(key, width))
+    for ede in suites.scalar_suite():
+        if ede.field.p == 2 and ede.t == 2:
+            reads.clear()
+            aut = scalar.build_automaton(ede)
+            assert len(aut.letters) == 4
+            assert len(reads) == 2 * aut.num_states
+
+
 # ---------------------------------------------------------------- guards
 
 F2 = PrimeField(2)

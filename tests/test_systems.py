@@ -280,6 +280,15 @@ def test_system_of_two_trivial_equations():
         assert aut.accepts(w)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("name", ["zero_eq", "two_equations"])
+def test_state_cap_below_one_is_rejected(name, cap):
+    spec = cli.load_spec(str(SPECS / f"{name}.json"))
+    with pytest.raises(StructureError, match="at least 1"):
+        solve_system(spec, cap)
+    assert solve_system(spec, 1 << 10).num_states >= 1
+
+
 def test_meet_with_unsolvable_equation_is_empty():
     assert solve_system(UNSOLVABLE_MEET).is_empty()
 
