@@ -1,9 +1,10 @@
 """Trust, but verify: the built machine against brute-force substitution.
 
 `compare` checks every digit word up to a length: it evaluates the
-equation literally over the whole exponent grid (plain products, no
-sections anywhere) and diffs that against the automaton's verdicts.  The report is plain JSON, as are
-the exported machines, and both are byte-stable across runs.
+equation literally at every word of the longest length, letter by letter
+in word order (plain products, no sections anywhere), and diffs that
+against the automaton's verdicts.  The report is plain JSON, as are the
+exported machines, and both are byte-stable across runs.
 """
 
 import random

@@ -16,13 +16,13 @@ from .errors import CapacityError, StructureError
 MAX_LETTERS = 4096
 
 
-def alphabet(p: int, width: int, max_letters: int = MAX_LETTERS) -> tuple:
+def alphabet(p: int, width: int) -> tuple:
     """All p^width letters in ascending lexicographic order."""
     if p < 2 or width < 1:
         raise StructureError("need p >= 2 and width >= 1")
-    if p**width > max_letters:
+    if p**width > MAX_LETTERS:
         raise CapacityError(
-            f"alphabet of size {p**width} exceeds cap {max_letters}",
+            f"alphabet of size {p**width} exceeds cap {MAX_LETTERS}",
             discovered=p**width,
         )
     return tuple(itertools.product(range(p), repeat=width))

@@ -6,9 +6,10 @@ It never touches the section operator, Frobenius substitution or the
 per-digit step machinery, so agreement between ``compare`` and a built
 automaton is evidence for the construction rather than for itself.
 
-``compare`` checks every word up to a length bound.  One dense kernel
-tabulates the solution set over the decoded exponent grid [0, p^max_len)^t
-for scalar and companion rings alike.  It first divides out the equation's
+``compare`` checks every word up to a length bound.  One dense kernel tests
+every word of the longest length, in ``compare``'s own order, for scalar and
+companion rings alike; a shorter word is the longer one padded with zero
+letters.  It first divides out the equation's
 monomial content: theta^a, the largest monomial dividing every term of
 every q, and theta^(b_k), the largest dividing every nonzero base k, so
 
@@ -21,12 +22,15 @@ does, and its products are smaller.  A ring element is an (n, n, *extent)
 array mod p (n = 1 for a scalar ring) that grows with its degree, and a
 product by a base adds one shifted copy per term, reduced only where the
 base's coefficients can reach p: literal multiplication with no shortcuts
-of characteristic p, in batches of at most ``BATCH_CELLS`` cells.  The last
-unknown advances a block of p^j exponents per product, by powers P^(p^i) of
-its base computed with ring products, never by Frobenius substitution.
-Words are swept in level order (length l+1 is length l extended by every
-letter), so a level's automaton states and grid indices are two arrays, and
-word objects are built only for mismatches.
+of characteristic p.  A word holds the exponents' base-p digits, least
+significant first, so letter l multiplies by prod_k (P_k^(p^l))^(d_k), with
+the powers P^(p^l) computed by ring products, never by Frobenius
+substitution.  The first letters grow a cube of every prefix, and a flat
+odometer over the other letters moves the whole cube, in passes of at most
+``BATCH_CELLS`` cells; its zero tests land in word order through a fixed
+permutation.  The automaton runs in level order (length l+1 is length l
+extended by every letter), so a level's states are one array, and word
+objects are built only for mismatches.
 """
 
 from __future__ import annotations
@@ -46,9 +50,9 @@ from .scalar import ScalarEde
 from .systems import SystemSpec
 
 DEFAULT_WORD_CAP = 500_000
-# Largest number of cells (block times batch size times n^2 times the
-# sweep's final extent) in one batch array of the solution-grid sweep: bigger
-# batches save little time and cost memory.
+# Largest number of cells (words times n^2 times the sweep's final extent) in
+# one pass of the word sweep, and in the cube it is cut from unless that cube
+# is the smallest: bigger passes save little time and cost memory.
 BATCH_CELLS = 1 << 15
 
 
@@ -125,7 +129,7 @@ def is_solution(spec, values, cache: dict | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense solution grids
+# the word-order solution sweep
 
 
 def _rows(elem) -> tuple:
@@ -191,136 +195,135 @@ def _times(arr, factor, p: int):
     return out
 
 
-def _equation_zero_grid(p: int, t: int, summands, n_max: int):
-    """Boolean grid over [0, n_max)^t: True where the equation vanishes.
+def _corner(a):
+    """The cells of a larger array that a occupies."""
+    return (Ellipsis,) + tuple(slice(0, c) for c in a.shape[3:])
 
-    Per summand the running product q_i * prod_k P_ik^{n_k}, with the
-    equation's monomial content divided out, is a batch of
-    (n, n, *extent) arrays whose extent grows with its degree.  Axes 0..t-3
-    advance in odometer order, one prefix at a time; consecutive indices on
-    axis t-2 are zero-padded to one extent and stacked into batches.  Each
-    batch walks the last axis in blocks of p^j exponents: level i stacks
-    S, S F_i, .., S F_i^(p-1) for F_i = P^(p^i), a literal power of the last
-    base, so the first block holds exponents 0..p^j-1 exponent-major, and
-    one product by P^(p^j) moves a whole block on.  Block times batch at the
-    sweep's final extent stays within BATCH_CELLS cells; batches fill it
-    first, and block is the largest power of p dividing n_max that fits.
-    Every block is tested at once: the summands (times the coefficient table
-    if any has a poly_coeff) summed, reduced, any.  A single unknown gets a
-    leading axis of extent 1, so the batch axis always exists.
+
+def _grow(arr, factor, p: int):
+    """Each word S of arr becomes the p words S, S F, .., S F^(p-1), the new digit fastest."""
+    parts = [arr]
+    for _ in range(p - 1):
+        parts.append(_times(parts[-1], factor, p))
+    out = np.zeros((len(arr), p) + parts[-1].shape[1:], arr.dtype)
+    for d, part in enumerate(parts):
+        out[:, d][_corner(part)] = part
+    return out.reshape((-1,) + out.shape[2:])
+
+
+def _zero_words(arrs, p: int, bound: int):
+    """Where the summands' arrays sum to zero, word by word; bound caps the unreduced sum."""
+    acc = arrs[0]
+    if len(arrs) > 1:
+        # star-unpack a list: see _factor
+        acc = np.zeros(acc.shape[:3] + tuple(map(max, zip(*[a.shape[3:] for a in arrs]))), acc.dtype)
+        for a in arrs:
+            acc[_corner(a)] += a
+        _reduce(acc, p, bound)
+    return ~acc.reshape(len(acc), -1).any(axis=1)
+
+
+def _equation_zeros(p: int, t: int, summands, length: int):
+    """Zero test of one equation at every word of ``length`` >= 1 letters.
+
+    Words come in ``compare``'s order, ``itertools.product`` over
+    ``alphabet(p, t)``: the first letter slowest, the newest fastest.  A
+    word spells n_k = sum_l d_lk p^l, so a summand is c_i(n) q_i times
+    prod_l prod_k (P_ik^(p^l))^(d_lk), with the monomial content divided out.
+    The first ``low`` letters grow a cube of every prefix, one digit at a
+    time: p stacked copies S, S F, .., S F^(p-1) of it, F = P^(p^l) a literal
+    ring power.  The first letter is n mod p, which fixes c_i(n), so each
+    summand is multiplied by its poly_coeff there, once.  The higher letters
+    spell m_k = n_k div p^low, walked by a flat odometer whose every step
+    multiplies the running products by one P_ik^(p^low); the zero tests land
+    in their word columns through a fixed permutation.  The cube is cut into
+    equal passes of at most BATCH_CELLS cells at the sweep's final extent,
+    and ``low`` takes the fewest products over all passes and steps among
+    the cubes within that cap; a cube of one letter, or of none when no
+    summand has a poly_coeff, is always allowed.
     """
+    size = p**t  # letters
     # a summand whose constant q is zero vanishes everywhere
     summands = [sm for sm in summands if not sm[1].is_zero()]
     if not summands:
-        return np.ones((n_max,) * t, dtype=bool)
-    shape = (n_max,) * t if t > 1 else (1, n_max)
-    lead, last = len(shape) - t, len(shape) - 1
+        return np.ones(size**length, dtype=bool)
     q0 = summands[0][1]
     n, r = (1 if isinstance(q0, Poly) else q0.n), q0.num_vars
     # theta^content divides every q, and theta^(shift_k) every nonzero base k
     content = _content([q for _, q, _ in summands], r)
     shifts = [_content([bases[k] for _, _, bases in summands], r) for k in range(t)]
     starts = [_factor(q, p, content) for _, q, _ in summands]
-    factors = [[_factor(b, p, s) for b, s in zip(bases, shifts)] for _, _, bases in summands]
-    final = tuple(
-        max(top[v] + 1 + (n_max - 1) * sum(f[0][v] for f in fs) for (top, _, _), fs in zip(starts, factors))
-        for v in range(r)
+    # powers[i][k][l]: P_ik^(p^l) divided by theta^(p^l shift_k)
+    powers = [[[_factor(b, p, s)] for b, s in zip(bases, shifts)] for _, _, bases in summands]
+
+    def cells(l):  # of one word once l letters are read, at most
+        return n * n * math.prod(
+            max(top[v] + 1 + (p**l - 1) * sum(pw[0][0][v] for pw in pws) for (top, _, _), pws in zip(starts, powers))
+            for v in range(r)
+        )
+
+    # poly_coeff is read off the first letter, so then the cube holds one at least
+    first = int(any(c is not None for c, _, _ in summands))
+    # equal passes within the cap at the final extent, cut from the cube within
+    # the cap that needs the fewest products: passes times odometer steps
+    width = max(1, BATCH_CELLS // cells(length))
+    low = min(
+        (l for l in range(first, length + 1) if l == first or size**l * cells(l) <= BATCH_CELLS),
+        key=lambda l: -(-(size**l) // width) * size ** (length - l),
     )
-    cells = n * n * math.prod(final)
-    batch_cap = max(1, min(shape[last - 1], BATCH_CELLS // cells))
-    block, levels = 1, 0  # block = p^levels, the largest dividing n_max that fits the cap
-    while n_max % (block * p) == 0 and block * p * batch_cap * cells <= BATCH_CELLS:
-        block, levels = block * p, levels + 1
-    # P^(p^j) for j < levels, and P^block once a second block follows: literal
-    # powers, divided by theta^(p^j shift); the first is the base's own factor
-    powers = []
-    for (_, _, bases), fs in zip(summands, factors):
-        pw, out = bases[-1], [fs[-1]]
-        while len(out) < levels + (block < n_max):
-            pw = pw**p
-            out.append(_factor(pw, p, tuple(s * p ** len(out) for s in shifts[-1])))
-        powers.append(out)
-    plain = all(c is None for c, _, _ in summands)
-    # largest unreduced sum of the zero test, and of any product column
-    test_bound = (p - 1) ** (1 if plain else 2) * len(summands)
+    passes = -(-(size**low) // width)
+    width = -(-(size**low) // passes)
+    hi = length - low
+    # the cube reads P^(p^l) for l < low and the odometer P^(p^low): literal
+    # powers; the first is the base's own factor
+    for (_, _, bases), pws in zip(summands, powers):
+        for elem, s, pw in zip(bases, shifts, pws):
+            for l in range(1, low + (hi > 0)):
+                elem = elem**p
+                pw.append(_factor(elem, p, tuple(x * p**l for x in s)))
+    # largest unreduced sum of the zero test, a coefficient product, and any product column
+    test_bound = (p - 1) * len(summands)
     bound = max(
-        [test_bound]
+        [test_bound, (p - 1) ** 2 * first]
         + [f[2] for f in starts]
-        + [f[2] for fs in factors for f in fs]
-        + [f[2] for fs in powers for f in fs]
+        + [f[2] for pws in powers for pw in pws for f in pw]
     )
-    factors = [[None] * lead + fs for fs in factors]
-    dtype = np.int16 if bound < 1 << 15 else np.int64
-    residues = list(itertools.product(range(p), repeat=t))
-    tables = [
-        np.array([1 if c is None else c.evaluate(x) for x in residues], dtype).reshape((1,) * lead + (p,) * t)
-        for c, _, _ in summands
-    ]
-    result = np.zeros(shape, dtype=bool)
-
-    def corner(a):  # the cells of a larger array that a occupies
-        return (Ellipsis,) + tuple(slice(0, c) for c in a.shape[3:])
-
-    def stack(parts):  # on the batch axis, zero-padded to the last, the largest
-        out = np.zeros((sum(len(a) for a in parts),) + parts[-1].shape[1:], dtype)
-        at = 0
-        for a in parts:
-            out[at : at + len(a)][corner(a)] = a
-            at += len(a)
-        return out
-
-    def chain(batch, idx, d0):
-        size = len(batch)
-        arrs = [stack(ms) for ms in zip(*batch)]
-        # exponents 0..block-1 of the last axis, exponent-major on the batch axis
-        for j in range(levels):
-            for i, pw in enumerate(powers):
-                parts = [arrs[i]]
-                for _ in range(p - 1):
-                    parts.append(_times(parts[-1], pw[j], p))
-                arrs[i] = stack(parts)
-        rows = np.arange(d0, d0 + size) % p
-        cols = [tab[tuple(x % p for x in idx)][rows].T for tab in tables]  # (p, size)
-        for e0 in range(0, shape[last], block):
-            if plain and len(arrs) == 1:
-                acc = arrs[0]
-            else:
-                # star-unpack a list: see _factor
-                acc = np.zeros(arrs[0].shape[:3] + tuple(map(max, zip(*[a.shape[3:] for a in arrs]))), dtype)
-                es = (e0 + np.arange(block)) % p
-                for a, col in zip(arrs, cols):
-                    acc[corner(a)] += a if plain else a * col[es].reshape((-1,) + (1,) * (2 + r))
-                _reduce(acc, p, test_bound)
-            result[idx + (slice(d0, d0 + size), slice(e0, e0 + block))] = ~acc.reshape(block, size, -1).any(axis=2).T
-            if e0 + block < shape[last]:
-                arrs = [_times(a, pw[levels], p) for a, pw in zip(arrs, powers)]
-
-    def walk(cur, idx):
-        k = len(idx)
-        batch = []
-        for d in range(shape[k]):
-            if k < last - 1:
-                walk(cur, idx + (d,))
-            else:
-                batch.append(cur)
-                if len(batch) == batch_cap or d == shape[k] - 1:
-                    chain(batch, idx, d + 1 - len(batch))
-                    batch = []
-            if d < shape[k] - 1:
-                cur = [_times(a, fs[k], p) for a, fs in zip(cur, factors)]
-
+    dtype = np.int8 if bound < 1 << 7 else np.int16 if bound < 1 << 15 else np.int64
     one = np.eye(n, dtype=dtype).reshape((1, n, n) + (1,) * r)
-    walk([_times(one, start, p) for start in starts], ())
-    walk = None  # walk reaches itself through its closure: free that cycle, and its arrays, now
-    return result.reshape((n_max,) * t)
+    cube = []
+    for (c, _, _), start, pws in zip(summands, starts, powers):
+        arr = _times(one, start, p)
+        for l in range(low):
+            for pw in pws:
+                arr = _grow(arr, pw[l], p)
+            if l == 0 and c is not None:
+                column = np.array([c.evaluate(x) for x in alphabet(p, t)], dtype)
+                arr = arr * column.reshape((-1,) + (1,) * (2 + r))
+                _reduce(arr, p, (p - 1) ** 2)
+        cube.append(arr)
+    # the word column of the odometer's steps: digit j of m_k is digit k of letter low + j
+    order = [j * t + k for k in range(t) for j in reversed(range(hi))]
+    cols = np.arange(size**hi).reshape((p,) * (t * hi)).transpose(order).reshape(-1)
+    zeros = np.empty((size**low, size**hi), dtype=bool)
+    for a in range(0, size**low, width):
+        # held[k]: the pass at (m_0, .., m_k, 0, .., 0), per summand
+        held = [[arr[a : a + width]] * t for arr in cube]
+        for col, m in zip(cols, itertools.product(range(p**hi), repeat=t)):
+            if any(m):
+                k = max(j for j in range(t) if m[j])  # the axis that moved; later ones restart
+                for hs, pws in zip(held, powers):
+                    hs[k:] = [_times(hs[k], pws[k][low], p)] * (t - k)
+            zeros[a : a + width, col] = _zero_words([hs[-1] for hs in held], p, test_bound)
+    return zeros.reshape(-1)
 
 
-def _solution_grid(spec, n_max: int, equations=None):
-    """Boolean grid over [0, n_max)^t: True where every equation vanishes."""
-    grid = np.ones((n_max,) * spec.t, dtype=bool)
+def _solved(spec, length: int, equations=None):
+    """Whether every equation vanishes, at every word of ``length`` >= 1 letters."""
+    p, t = spec.field.p, spec.t
+    solved = np.ones(p ** (t * length), dtype=bool)
     for summands in equations or _equations(spec):
-        grid &= _equation_zero_grid(spec.field.p, spec.t, summands, n_max)
-    return grid
+        solved &= _equation_zeros(p, t, summands, length)
+    return solved
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +388,20 @@ def compare(spec, automaton, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> 
     if total > word_cap:
         raise CapacityError(f"{total} words exceed cap {word_cap}", discovered=total)
 
-    n_max = p**max_len
-    grid = _solution_grid(spec, n_max, equations).reshape(-1)
-    # the flat grid index a letter adds as the least significant digit
-    shifts = np.array(letters, dtype=np.int64) @ (n_max ** np.arange(t - 1, -1, -1, dtype=np.int64))
+    # a shorter word is the longer one padded with zero letters
+    every = _solved(spec, max(max_len, 1), equations)
     dense = isinstance(automaton, fsa.Automaton)
     if dense:
         table = np.array(automaton.transitions, dtype=np.int64)
         finals = np.zeros(automaton.num_states, dtype=bool)
         finals[list(automaton.finals)] = True
         states = np.array([automaton.initial])
-    index = np.zeros(1, dtype=np.int64)
     report = VerificationReport(max_len=max_len, checked=total)
     for length in range(max_len + 1):
-        if length:
+        if length and dense:
             # every word of the last level, extended by each letter in turn
-            index = (index[:, None] + shifts * p ** (length - 1)).reshape(-1)
-            if dense:
-                states = table[states].reshape(-1)
-        solved = grid[index]
+            states = table[states].reshape(-1)
+        solved = every.reshape(per_len**length, -1)[:, 0]
         if dense:
             accepted = finals[states]
         else:

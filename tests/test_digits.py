@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edesolver.digits import (
+    MAX_LETTERS,
     DigitWord,
     alphabet,
     check_letter,
@@ -25,8 +26,8 @@ def test_alphabet_is_sorted_and_capped():
     letters = alphabet(3, 2)
     assert list(letters) == sorted(letters)
     with pytest.raises(CapacityError):
-        alphabet(2, 13)  # 8192 > default cap
-    assert len(alphabet(2, 13, max_letters=10_000)) == 8192
+        alphabet(2, 13)  # 8192 > MAX_LETTERS
+    assert len(alphabet(2, 12)) == MAX_LETTERS
 
 
 def test_check_letter():

@@ -22,7 +22,6 @@ from edesolver.gfpoly import Poly, PrimeField
 from edesolver.oracle import (
     Mismatch,
     VerificationReport,
-    _solution_grid,
     compare,
     evaluate,
     is_solution,
@@ -143,7 +142,35 @@ def test_compare_never_calls_the_engine_operators(monkeypatch):
         assert compare(spec, aut, max_len).ok
 
 
-# -------------------------------------------------------------- dense grids
+# ---------------------------------------------------------- word vectors
+
+
+def _exponents(p, t, length, index):
+    """The exponent tuple spelled by word ``index`` of ``length`` letters, in compare's order."""
+    letters = alphabet(p, t)
+    combo = [letters[x] for x in np.unravel_index(index, (len(letters),) * length)]
+    return DigitWord(p, t, combo).decode()
+
+
+def _assert_words_match_evaluation(spec, length):
+    solved = oracle._solved(spec, length)
+    assert solved.shape == (spec.field.p ** (spec.t * length),)
+    cache = {}
+    for index, ok in enumerate(solved):
+        values = _exponents(spec.field.p, spec.t, length, index)
+        assert bool(ok) == is_solution(spec, values, cache), (spec, values)
+
+
+def _solution_grid(spec, n_max):
+    """The solution set over [0, n_max)^t, n_max a power of p, read off the word vector."""
+    p, t, length = spec.field.p, spec.t, 0
+    while p**length < n_max:
+        length += 1
+    grid = np.zeros((n_max,) * t, dtype=bool)
+    for index, ok in enumerate(oracle._solved(spec, length)):
+        grid[_exponents(p, t, length, index)] = ok
+    return grid
+
 
 def _random_companion_system(rng, spec, t, s_max=2):
     """A one-equation companion system with coefficient polynomials."""
@@ -171,43 +198,41 @@ def test_grid_matches_per_word_evaluation():
             tuple(suites.random_poly(rng, field, 1) for _ in range(t))
             for _ in range(s)
         )
-        cases.append((ScalarEde(field, 1, t, q, bases), p**3))
+        cases.append((ScalarEde(field, 1, t, q, bases), 3))
     for r, t in ((2, 2), (1, 3), (2, 3)):
         field = PrimeField(rng.choice((2, 3)))
         q = tuple(suites.random_poly(rng, field, r) for _ in range(2))
         bases = tuple(tuple(suites.random_poly(rng, field, r) for _ in range(t)) for _ in q)
-        cases.append((ScalarEde(field, r, t, q, bases), field.p ** (3 if t == 2 else 2)))
+        cases.append((ScalarEde(field, r, t, q, bases), 3 if t == 2 else 2))
     for spec in (suites.companion_n2_f2(), suites.companion_n3_f2()):
         for t in (1, 2):
-            cases.append((_random_companion_system(rng, spec, t), 2 ** (4 // t)))
-    cases.append((suites.matrix_suite()[2], 16))
-    for spec, n_max in cases:
-        grid = _solution_grid(spec, n_max)
-        cache = {}
-        for values in itertools.product(range(n_max), repeat=spec.t):
-            assert bool(grid[values]) == is_solution(spec, values, cache), (
-                spec, values,
-            )
+            cases.append((_random_companion_system(rng, spec, t), 4 // t))
+    cases.append((suites.matrix_suite()[2], 4))
+    for spec, length in cases:
+        _assert_words_match_evaluation(spec, length)
 
 
 def test_grid_is_exact_for_large_primes():
-    # (1 + 190) * (190x + 189)^n vanishes for every n over F_191, but products
-    # of two residues pass 2^15 there, so an int16 grid would wrap
-    field = PrimeField(191)
-    x, one = Poly.variable(field, 1, 0), Poly.one(field, 1)
-    base = x * 190 + one * 189
-    ede = ScalarEde(field, 1, 1, (one, one * 190), ((base,), (base,)))
-    assert _solution_grid(ede, 191).all()
-    ede = ScalarEde(field, 1, 1, (one, one * 189), ((base,), (base,)))
-    assert not _solution_grid(ede, 191).any()
+    # (1 + (p-1)) * ((p-1)x + (p-2))^n vanishes for every n over F_p, but
+    # products of two residues pass 2^15 over F_191 and 2^7 over F_13, so an
+    # int16 or int8 vector would wrap
+    for p in (13, 191):
+        field = PrimeField(p)
+        x, one = Poly.variable(field, 1, 0), Poly.one(field, 1)
+        base = x * (p - 1) + one * (p - 2)
+        ede = ScalarEde(field, 1, 1, (one, one * (p - 1)), ((base,), (base,)))
+        assert oracle._solved(ede, 1).all()
+        ede = ScalarEde(field, 1, 1, (one, one * (p - 2)), ((base,), (base,)))
+        assert not oracle._solved(ede, 1).any()
 
 
 def test_grid_handles_zero_bases_and_zero_constants():
     # 0 * 0^n + 1 * 0^n = 0 exactly when n > 0
     ede = ScalarEde(F2, 1, 1, (ZERO, ONE), ((ZERO,), (ZERO,)))
-    grid = _solution_grid(ede, 8)
-    assert not grid[0]
-    assert all(bool(grid[n]) for n in range(1, 8))
+    solved = oracle._solved(ede, 3)
+    grid = {_exponents(2, 1, 3, index): bool(ok) for index, ok in enumerate(solved)}
+    assert not grid[(0,)]
+    assert all(grid[(n,)] for n in range(1, 8))
 
 
 # ---------------------------------------------------------- kernel pieces
@@ -262,7 +287,7 @@ def test_times_is_a_reduced_literal_product(p, n):
 def _unequal_degree_systems():
     """x^(2a) y^b (...)^c - y^(2a) x^b (...)^c over F_3, with and without poly_coeff.
 
-    Bases of unequal degree make consecutive batch members, and the two
+    Bases of unequal degree make the words of one pass, and the two
     summands, differ in extent.
     """
     field = PrimeField(3)
@@ -279,22 +304,21 @@ def _unequal_degree_systems():
 
 
 def _single_unknown_systems():
-    """(x + 1)^n - x^n - 1 with x = theta or the companion root xi, and n_max.
+    """(x + 1)^n - x^n - 1 with x = theta or the companion root xi, and a word length.
 
     The sum vanishes at the powers of p (the freshman's dream) and, for
-    these x, nowhere else, so the grids are mixed; the (n + 1) poly_coeff of
-    two of them also removes n = 1.  Each n_max times the cells of one grid point (n^2 times the
-    final extent: 32, 24, 81, 4 * 16 and 9 * 8) lies above 1 << 8, which
-    holds a block of 8, 8, 3, 4 and 2 exponents: a partial block.  24 is no
-    power of 2, so even 1 << 22 cells give it blocks of 8.
+    these x, nowhere else, so the word vectors are mixed; the (n + 1)
+    poly_coeff of two of them also removes n = 1.  Without a poly_coeff a
+    cube may hold no letter at all, so small caps step the odometer by the
+    base itself.
     """
     out = []
-    for field, n_max, coeff in ((F2, 32, False), (F2, 24, False), (PrimeField(3), 81, True)):
+    for field, length, coeff in ((F2, 5, False), (PrimeField(3), 4, True)):
         x, one = Poly.variable(field, 1, 0), Poly.one(field, 1)
         c = Poly.variable(field, 1, 0) + Poly.one(field, 1) if coeff else None
         eq = (Summand(c, one, (x + one,)), Summand(None, -one, (x,)), Summand(None, -one, (one,)))
-        out.append((SystemSpec(field, 1, 1, None, (eq,)), n_max))
-    for spec, n_max, coeff in ((suites.companion_n2_f2(), 16, False), (suites.companion_n3_f2(), 8, True)):
+        out.append((SystemSpec(field, 1, 1, None, (eq,)), length))
+    for spec, length, coeff in ((suites.companion_n2_f2(), 4, False), (suites.companion_n3_f2(), 3, True)):
         one, zero = Poly.one(F2, 1), Poly.zero(F2, 1)
 
         def xi(*coeffs):
@@ -306,7 +330,7 @@ def _single_unknown_systems():
             Summand(None, xi(one), (xi(zero, one),)),
             Summand(None, xi(one), (xi(one),)),
         )
-        out.append((SystemSpec(F2, 1, 1, spec, (eq,)), n_max))
+        out.append((SystemSpec(F2, 1, 1, spec, (eq,)), length))
     return out
 
 
@@ -358,18 +382,16 @@ def _content_systems():
     return out
 
 
-# 1 cell: one grid point per batch and block; 1 << 8: partial blocks of the
-# last axis for a single unknown; 1 << 22: whole axes in one batch and block
-@pytest.mark.parametrize("cells", [1, 1 << 8, 1 << 22])
+# up to 2^4 cells: single-word passes, from cubes of no letter or one;
+# 2^8 to 2^13: passes cut from a cube inside a letter (2 or 3 words of 9, 9
+# of 27) and whole cubes; 2^22: every word in one cube
+@pytest.mark.parametrize("cells", [1, 3, 1 << 4, 1 << 8, 1 << 10, 1 << 13, 1 << 22])
 def test_grid_matches_evaluation_at_any_batch_size(monkeypatch, cells):
     monkeypatch.setattr(oracle, "BATCH_CELLS", cells)
-    cases = [(spec, 9 if spec.t == 2 else 4) for spec in _unequal_degree_systems()]
-    cases += [(spec, 9 if spec.t == 2 else 16) for spec in _content_systems()]
-    for spec, n_max in cases + _single_unknown_systems():
-        grid = _solution_grid(spec, n_max)
-        cache = {}
-        for values in itertools.product(range(n_max), repeat=spec.t):
-            assert bool(grid[values]) == is_solution(spec, values, cache), (spec, values)
+    cases = [(spec, 2) for spec in _unequal_degree_systems()]
+    cases += [(spec, 2 if spec.t == 2 else 4) for spec in _content_systems()]
+    for spec, length in cases + _single_unknown_systems():
+        _assert_words_match_evaluation(spec, length)
 
 
 def test_monomial_equation_is_tabulated_in_few_small_products(monkeypatch):
