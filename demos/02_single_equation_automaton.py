@@ -6,7 +6,7 @@ answer is n = 1, and the machine says so: it accepts 1 followed by any
 number of zero digits.
 """
 
-from edesolver import Poly, PrimeField, ScalarEde, build_scalar_automaton, is_solution
+from edesolver import Poly, PrimeField, ScalarEde, build_automaton, is_solution
 
 F2 = PrimeField(2)
 theta = Poly.variable(F2, 1, 0)
@@ -15,7 +15,7 @@ one = Poly.one(F2, 1)
 # summands: 1 * theta^n  and  theta * 1^n
 ede = ScalarEde(F2, r=1, t=1, q=(one, theta), bases=((theta,), (one,)))
 
-aut = build_scalar_automaton(ede)
+aut = build_automaton(ede)
 print(f"{aut.num_states} states, finals {sorted(aut.finals)}")
 
 solutions = sorted({w.decode()[0] for w in aut.enumerate_words(6)})

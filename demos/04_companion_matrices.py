@@ -16,7 +16,7 @@ from edesolver import (
     MatrixEde,
     Poly,
     PrimeField,
-    build_matrix_automaton,
+    build_automaton,
     companion_matrix,
     conjugator,
     is_solution,
@@ -40,7 +40,7 @@ print("identity holds:", b**2 * cprime == cprime * b.frobenius())
 # B'^n = B', i.e. B'^n + B' = 0 in characteristic 2
 ident = b**0
 ede = MatrixEde(spec, q=(ident, b), bases=((b,), (ident,)))
-aut = build_matrix_automaton(ede)
+aut = build_automaton(ede)
 sols = sorted({w.decode()[0] for w in aut.enumerate_words(5)})
 print("B'^n = B' for n =", sols, "(with at most 5 digits)")
 assert all(is_solution(ede, (n,)) for n in sols)

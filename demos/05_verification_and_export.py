@@ -13,7 +13,7 @@ from edesolver import (
     Poly,
     PrimeField,
     ScalarEde,
-    build_scalar_automaton,
+    build_automaton,
     compare,
     evaluate,
 )
@@ -39,7 +39,7 @@ print("equation summands:")
 for q, (p1,) in zip(ede.q, ede.bases):
     print(f"  ({q}) * ({p1})^n")
 
-aut = build_scalar_automaton(ede)
+aut = build_automaton(ede)
 report = compare(ede, aut, max_len=4)
 print(f"checked {report.checked} words, mismatches: {len(report.mismatches)}")
 print(report.to_json())
@@ -49,5 +49,5 @@ n = 4
 print(f"left-hand side at n = {n}:", evaluate(ede, (n,)))
 
 # exports are deterministic: building twice gives identical bytes
-again = build_scalar_automaton(ede)
+again = build_automaton(ede)
 print("byte-identical rebuild:", again.to_json() == aut.to_json())

@@ -16,8 +16,6 @@ from .companion import (
     conjugator,
     evaluate_at_companion,
 )
-from .companion import build_automaton as build_matrix_automaton
-from .companion import degree_bound as matrix_degree_bound
 from .digits import DigitWord, alphabet, digit_length
 from .errors import (
     AlphabetError,
@@ -29,9 +27,7 @@ from .errors import (
 from .fsa import Automaton
 from .gfpoly import Poly, PrimeField, format_poly, parse_poly, section_table
 from .oracle import Mismatch, VerificationReport, compare, evaluate, is_solution
-from .scalar import ScalarEde
-from .scalar import build_automaton as build_scalar_automaton
-from .scalar import degree_bound as scalar_degree_bound
+from .scalar import ScalarEde, build_automaton, degree_bound
 from .systems import Summand, SystemSpec, peel_last_digits, solve_system
 
 __version__ = "0.1.0"
@@ -55,20 +51,18 @@ __all__ = [
     "SystemSpec",
     "VerificationReport",
     "alphabet",
-    "build_matrix_automaton",
-    "build_scalar_automaton",
+    "build_automaton",
     "companion_matrix",
     "compare",
     "conjugator",
+    "degree_bound",
     "digit_length",
     "evaluate",
     "evaluate_at_companion",
     "format_poly",
     "is_solution",
-    "matrix_degree_bound",
     "parse_poly",
     "peel_last_digits",
-    "scalar_degree_bound",
     "section_table",
     "solve_system",
     "__version__",

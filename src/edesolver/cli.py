@@ -34,7 +34,7 @@ import sys
 
 from . import fsa, oracle, systems
 from .companion import CompanionSpec, conjugator
-from .digits import DigitWord, alphabet, digit_length
+from .digits import DigitWord, alphabet, count_words
 from .errors import CapacityError, SingularConjugatorError, SpecFileError, StructureError
 from .gfpoly import Poly, PrimeField, parse_int, parse_poly
 from .systems import Summand, SystemSpec
@@ -229,12 +229,7 @@ def cmd_check(args) -> int:
 
 def cmd_enum(args) -> int:
     spec = load_spec(args.spec)
-    per_len = len(alphabet(spec.field.p, spec.t))
-    total = sum(per_len**l for l in range(args.max_len + 1))
-    if total > ENUM_WORD_CAP:
-        raise CapacityError(
-            f"enumerating {total} words exceeds cap {ENUM_WORD_CAP}", discovered=total
-        )
+    count_words(len(alphabet(spec.field.p, spec.t)), args.max_len, ENUM_WORD_CAP)
     aut = systems.solve_system(spec, _state_cap(args))
     seen = set()
     for word in aut.enumerate_words(args.max_len):
@@ -251,6 +246,8 @@ def _default_max_len(spec: SystemSpec) -> int:
 def cmd_verify(args) -> int:
     spec = load_spec(args.spec)
     max_len = args.max_len if args.max_len is not None else _default_max_len(spec)
+    # compare counts the words too, but only after a build that a blown cap wastes
+    count_words(len(alphabet(spec.field.p, spec.t)), max_len, oracle.DEFAULT_WORD_CAP)
     aut = systems.solve_system(spec, _state_cap(args))
     report = oracle.compare(spec, aut, max_len)
     sys.stdout.write(report.to_json())

@@ -21,12 +21,13 @@ the residue matrix by the digit-selected base powers AND one copy of C',
 then apply the entrywise section operator.  A singular C' is exactly how a
 reducible or inseparable input manifests and is rejected up front.
 
-This module holds only the ring: :class:`MatrixEde` gives the equation
-layer of :mod:`scalar` its order n, its one (the identity), its C' and the
-row-major flattening of a matrix into n^2 entry polynomials.  The step, the
-set semantics, the degree bound, :func:`explore` and
-:func:`build_automaton` are the ones of :mod:`scalar`, for which
-F_p[x_1..x_r] is the order-one case with C' = 1; they are re-exported here.
+This module holds only the ring: :class:`MatrixEde`, an
+:class:`scalar.Equation`, gives the equation layer of :mod:`scalar` its
+order n, its one (the identity), its C', its ring test and the row-major
+flattening of a matrix into n^2 entry polynomials.  The step, the set
+semantics, the degree bound, :func:`explore` and :func:`build_automaton`
+are the ones of :mod:`scalar`, for which F_p[x_1..x_r] is the order-one
+case with C' = 1; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -34,21 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import digits
 from .errors import SingularConjugatorError, StructureError
-from .gfpoly import MINUS_INFINITY, Poly, PrimeField, format_poly
+from .gfpoly import MINUS_INFINITY, Poly, PrimeField, format_poly, power
 from .scalar import (  # noqa: F401  the equation layer both rings share
-    base_power,
+    Equation,
     build_automaton,
     degree_bound,
     explore,
     extend_residues,
     extend_state,
     initial_state,
-    is_accepting_residues,
     is_accepting_state,
-    span_entries,
-    span_moves,
     step,
 )
 
@@ -112,13 +109,13 @@ class PolyMatrix:
             ),
         )
 
+    def _map(self, fn) -> "PolyMatrix":
+        """The matrix of fn(entry), entry by entry."""
+        return PolyMatrix(self.field, self.num_vars, tuple(tuple(map(fn, row)) for row in self.rows))
+
     def __mul__(self, other):
         if isinstance(other, (Poly, int)):
-            return PolyMatrix(
-                self.field,
-                self.num_vars,
-                tuple(tuple(f * other for f in row) for row in self.rows),
-            )
+            return self._map(lambda f: f * other)
         self._check(other)
         n = self.n
         cols = tuple(zip(*other.rows))
@@ -139,34 +136,17 @@ class PolyMatrix:
         return NotImplemented
 
     def __pow__(self, k: int) -> "PolyMatrix":
-        if not isinstance(k, int) or k < 0:
-            raise StructureError("matrix exponent must be a natural number")
-        if not k:
-            return PolyMatrix.identity(self.field, self.num_vars, self.n)
-        result = self
-        for bit in bin(k)[3:]:  # square and multiply, from below the top bit
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return power(self, k, lambda: PolyMatrix.identity(self.field, self.num_vars, self.n))
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.rows for f in row)
 
     def frobenius(self) -> "PolyMatrix":
         """Entrywise substitution x -> x^p (NOT the matrix p-th power)."""
-        return PolyMatrix(
-            self.field,
-            self.num_vars,
-            tuple(tuple(f.frobenius() for f in row) for row in self.rows),
-        )
+        return self._map(Poly.frobenius)
 
     def section(self, y) -> "PolyMatrix":
-        return PolyMatrix(
-            self.field,
-            self.num_vars,
-            tuple(tuple(f.section(y) for f in row) for row in self.rows),
-        )
+        return self._map(lambda f: f.section(y))
 
     def section_word(self, word) -> "PolyMatrix":
         m = self
@@ -298,7 +278,7 @@ def evaluate_at_companion(coeffs, spec: CompanionSpec) -> PolyMatrix:
 
 
 @dataclass(frozen=True)
-class MatrixEde:
+class MatrixEde(Equation):
     """One equation over R[B']: matrix constants ``q`` and base grid ``bases``.
 
     All member matrices must come from evaluating xi-polynomials at the
@@ -311,27 +291,13 @@ class MatrixEde:
     q: tuple
     bases: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(self.q))
-        object.__setattr__(self, "bases", tuple(tuple(row) for row in self.bases))
-        if not self.q:
-            raise StructureError("need at least one summand")
-        if len(self.bases) != len(self.q):
-            raise StructureError("base grid must have one row per summand")
-        t = len(self.bases[0]) if self.bases else 0
-        if t < 1:
-            raise StructureError("need t >= 1")
-        for row in self.bases:
-            if len(row) != t:
-                raise StructureError("ragged base grid")
-        for m in (*self.q, *(m for row in self.bases for m in row)):
-            if (
-                not isinstance(m, PolyMatrix)
-                or m.field != self.base.field
-                or m.num_vars != self.base.r
-                or m.n != self.base.n
-            ):
-                raise StructureError("matrix does not live in the equation's ring")
+    def _member(self, elem) -> bool:
+        return (
+            isinstance(elem, PolyMatrix)
+            and elem.field == self.base.field
+            and elem.num_vars == self.base.r
+            and elem.n == self.base.n
+        )
 
     @classmethod
     def from_xi_coeffs(cls, base: CompanionSpec, q_coeffs, base_coeffs) -> "MatrixEde":
@@ -354,18 +320,6 @@ class MatrixEde:
         return len(self.bases[0])
 
     @property
-    def s(self) -> int:
-        return len(self.q)
-
-    @cached_property
-    def exponent_alphabet(self) -> tuple:
-        return digits.alphabet(self.field.p, self.t)
-
-    @cached_property
-    def section_alphabet(self) -> tuple:
-        return digits.alphabet(self.field.p, self.r)
-
-    @property
     def n(self) -> int:
         return self.base.n
 
@@ -383,4 +337,3 @@ class MatrixEde:
     def element(self, entries) -> PolyMatrix:
         n = self.n
         return PolyMatrix(self.field, self.r, [entries[a * n:(a + 1) * n] for a in range(n)])
-

@@ -28,6 +28,21 @@ def alphabet(p: int, width: int) -> tuple:
     return tuple(itertools.product(range(p), repeat=width))
 
 
+def count_words(size: int, max_len: int, cap: int) -> int:
+    """The number of words of length <= max_len over ``size`` >= 2 letters.
+
+    Raises CapacityError at the first length that takes the count past
+    ``cap``, so a huge max_len costs no more than the cap does.
+    """
+    total, level = 0, 1
+    for _ in range(max_len + 1):
+        total += level
+        if total > cap:
+            raise CapacityError(f"more than {cap} words up to length {max_len}", discovered=total)
+        level *= size
+    return total
+
+
 def check_letter(letter, p: int, width: int) -> tuple:
     letter = tuple(letter)
     if len(letter) != width:

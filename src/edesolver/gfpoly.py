@@ -215,16 +215,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise StructureError("exponent must be a natural number")
-        if not n:
-            return Poly.one(self.field, self.num_vars)
-        result = self
-        for bit in bin(n)[3:]:  # square and multiply, from below the top bit
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
+        return power(self, n, lambda: Poly.one(self.field, self.num_vars))
 
     def total_degree(self):
         """Max exponent sum, or MINUS_INFINITY for the zero polynomial."""
@@ -298,6 +289,24 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.field.p}, {self.num_vars}, {format_poly(self)!r})"
+
+
+def power(x, n: int, one):
+    """x**n by square and multiply, for any ring element with ``*``.
+
+    ``one()`` builds the ring's one; it is called only for n = 0, so a
+    positive power pays exactly its squarings and multiplications.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise StructureError("exponent must be a natural number")
+    if not n:
+        return one()
+    result = x
+    for bit in bin(n)[3:]:  # from below the top bit
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
 
 
 def section_table(f: Poly) -> dict:

@@ -43,8 +43,8 @@ import numpy as np
 
 from . import fsa
 from .companion import MatrixEde, evaluate_at_companion
-from .digits import DigitWord, alphabet
-from .errors import CapacityError, StructureError
+from .digits import DigitWord, alphabet, count_words
+from .errors import StructureError
 from .gfpoly import Poly
 from .scalar import ScalarEde
 from .systems import SystemSpec
@@ -384,9 +384,7 @@ def compare(spec, automaton, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> 
         raise StructureError("max_len must be a natural number")
     letters = alphabet(p, t)
     per_len = len(letters)
-    total = sum(per_len**l for l in range(max_len + 1))
-    if total > word_cap:
-        raise CapacityError(f"{total} words exceed cap {word_cap}", discovered=total)
+    total = count_words(per_len, max_len, word_cap)
 
     # a shorter word is the longer one padded with zero letters
     every = _solved(spec, max(max_len, 1), equations)

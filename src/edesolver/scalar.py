@@ -23,7 +23,9 @@ identity, the polynomial 1.  So every function below is written once,
 against the small interface both equation classes provide: the order
 ``n``, the ring's ``one``, the ``conjugator`` C', and ``entries`` /
 ``element``, which flatten a ring element into its n^2 entry polynomials
-and rebuild it.
+and rebuild it.  Both classes derive from :class:`Equation`, which checks
+the summands and the base grid against the ring's ``_member`` test and
+holds ``s`` and both alphabets.
 
 By definition a state is the set of residue tuples produced by all section
 choices so far (``initial_state`` / ``extend_state``); it accepts when every
@@ -34,7 +36,10 @@ The step is F_p-linear and acceptance is a linear condition, so
 :func:`build_automaton` tracks the F_p-span of each set instead, through
 the span engine (:mod:`span`): a residue tuple flattens to its s*n^2 entry
 polynomials, C' is folded into the step maps, and a span accepts when it
-lies in the kernel of the map summing the summands entry by entry.  The
+lies in the kernel of the map summing the summands entry by entry.
+:func:`span_layout` lays out those entries, acceptance groups and step
+maps for several equations side by side, as :mod:`systems` needs, and a
+single equation is the case of one (``span_layout([ede])``).  The
 language is the same and the reachable spans are far fewer than the
 reachable sets.  :func:`explore` decodes the same spans back into residue
 tuples, to which the set predicates apply as-is.
@@ -52,38 +57,30 @@ from .errors import StructureError
 from .gfpoly import MINUS_INFINITY, Poly, PrimeField
 
 
-@dataclass(frozen=True)
-class ScalarEde:
-    """One scalar equation: coefficients ``q`` and an s-by-t grid of bases."""
+class Equation:
+    """One equation over a ring of order n: coefficients ``q`` and an s-by-t grid of bases.
 
-    field: PrimeField
-    r: int
-    t: int
-    q: tuple
-    bases: tuple
-
-    n = 1  # the order of the ring: F_p[x_1..x_r] is the order-one companion ring
+    Each ring is a frozen dataclass on this base with fields ``q`` and
+    ``bases``.  It provides ``field``, ``r`` and ``t``, the order ``n``, the
+    ring's ``one``, the ``conjugator`` C', ``entries`` / ``element`` and
+    ``_member(elem)``, whether elem lies in the ring.
+    """
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(self.q))
         object.__setattr__(self, "bases", tuple(tuple(row) for row in self.bases))
-        if self.r < 1 or self.t < 1:
-            raise StructureError("need r >= 1 and t >= 1")
         if not self.q:
             raise StructureError("need at least one summand")
         if len(self.bases) != len(self.q):
             raise StructureError("base grid must have one row per summand")
-        for f in self.q:
-            self._check_poly(f)
+        if self.r < 1 or self.t < 1:
+            raise StructureError("need r >= 1 and t >= 1")
         for row in self.bases:
             if len(row) != self.t:
                 raise StructureError(f"each summand needs {self.t} bases")
-            for f in row:
-                self._check_poly(f)
-
-    def _check_poly(self, f):
-        if not isinstance(f, Poly) or f.field != self.field or f.num_vars != self.r:
-            raise StructureError("polynomial does not live in the equation's ring")
+        for elem in (*self.q, *(elem for row in self.bases for elem in row)):
+            if not self._member(elem):
+                raise StructureError("element does not live in the equation's ring")
 
     @property
     def s(self) -> int:
@@ -96,6 +93,22 @@ class ScalarEde:
     @cached_property
     def section_alphabet(self) -> tuple:
         return digits.alphabet(self.field.p, self.r)
+
+
+@dataclass(frozen=True)
+class ScalarEde(Equation):
+    """One scalar equation: polynomial coefficients ``q`` and bases ``bases``."""
+
+    field: PrimeField
+    r: int
+    t: int
+    q: tuple
+    bases: tuple
+
+    n = 1  # the order of the ring: F_p[x_1..x_r] is the order-one companion ring
+
+    def _member(self, elem) -> bool:
+        return isinstance(elem, Poly) and elem.field == self.field and elem.num_vars == self.r
 
     @cached_property
     def one(self) -> Poly:
@@ -190,32 +203,38 @@ def initial_state(ede) -> frozenset:
     return frozenset({tuple(ede.q)})
 
 
-def span_entries(ede) -> tuple:
-    """(start entries, acceptance groups) for :mod:`span`.
+def span_layout(edes) -> tuple:
+    """(acceptance groups, moves) for :mod:`span`, the equations side by side.
 
-    Residue tuples flatten to s*n^2 entries, summand by summand, each ring
-    element row-major; entry (i, a, b) is summed with the (a, b) entries of
-    the other summands.
+    A residue tuple flattens to s*n^2 entries, summand by summand, each ring
+    element row-major, and the entries of each equation follow those of the
+    equations before it.  Entry (i, a, b) of equation e is in group
+    (e, a * n + b): it is summed with the (a, b) entries of the other
+    summands of e.
+    ``moves[x]`` lists the (source, target, multiplier) triples of letter x,
+    in alphabet order: entry (i, a, b) of an image sums entry (i, a, k) times
+    entry (k, b) of summand i's multiplier (base power times C') over k, so
+    the step maps are block-diagonal.  The equations share one alphabet.
     """
-    entries = tuple(f for elem in ede.q for f in ede.entries(elem))
-    return entries, tuple(range(ede.n * ede.n)) * ede.s
-
-
-def span_moves(ede) -> dict:
-    """The (source, target, multiplier) triples of every letter.
-
-    Entry (i, a, b) of an image sums entry (i, a, k) times entry (k, b) of
-    summand i's multiplier (base power times C') over k.
-    """
-    n, cprime = ede.n, ede.conjugator
-    moves = {}
-    for x in ede.exponent_alphabet:
-        moves[x] = []
+    groups, moves = [], {x: [] for x in edes[0].exponent_alphabet}
+    for e, ede in enumerate(edes):
+        n, cprime = ede.n, ede.conjugator
         for i in range(ede.s):
-            mult = ede.entries(base_power(ede, i + 1, x) * cprime)
-            for a, k, b in itertools.product(range(n), repeat=3):
-                moves[x].append(((i * n + a) * n + k, (i * n + a) * n + b, mult[k * n + b]))
-    return moves
+            offset = len(groups)  # of summand i
+            groups += [(e, g) for g in range(n * n)]
+            for x, triples in moves.items():
+                mult = ede.entries(base_power(ede, i + 1, x) * cprime)
+                for a, k, b in itertools.product(range(n), repeat=3):
+                    triples.append((offset + a * n + k, offset + a * n + b, mult[k * n + b]))
+    return groups, moves
+
+
+def span_starts(edes) -> list:
+    """One start row per equation, laid out as :func:`span_layout` lays it:
+    the entries of its ``q`` in its own slots and zeros in the others."""
+    flat = [[f for elem in ede.q for f in ede.entries(elem)] for ede in edes]
+    zero = Poly.zero(edes[0].field, edes[0].r)
+    return [[f if k == e else zero for k, fs in enumerate(flat) for f in fs] for e in range(len(flat))]
 
 
 def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
@@ -225,9 +244,9 @@ def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
     its span (see :mod:`span`), so the predicates above apply to it as-is.
     """
     size = ede.n * ede.n
+    _, moves = span_layout([ede])
     bases, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], [span_entries(ede)[0]],
-        ede.exponent_alphabet, span_moves(ede), state_cap,
+        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede]), moves, state_cap
     )
     keys = [
         frozenset(
@@ -240,10 +259,9 @@ def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
 
 def build_automaton(ede, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """The DFA over exponent letters accepting exactly the solution words."""
-    entries, groups = span_entries(ede)
+    groups, moves = span_layout([ede])
     finals, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], [entries],
-        ede.exponent_alphabet, span_moves(ede), state_cap, accept=groups,
+        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede]), moves, state_cap, accept=groups
     )
     labels = [str(i) for i in range(len(transitions))]
     return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals)

@@ -21,7 +21,9 @@ lives in.  They lie in the box of total degree <= N, the degree bound,
 which the step maps into itself, so a coordinate outside it is a bug and
 raises.
 
-Step maps.  For each digit letter x one matrix over F_p holds the
+Step maps.  The caller gives the multipliers of every digit letter x,
+keyed by x in alphabet order, and the engine reads its alphabet from
+those keys.  For each x one matrix over F_p holds the
 images under every section letter side by side: the row vector v times
 L_x, cut into p^r blocks of the coordinate width, lists the p^r images of v.
 Column (y, entry b, monomial g) of row (entry a, monomial e) is read off the
@@ -29,7 +31,8 @@ multiplier terms directly: a term c*x^u of the multiplier from entry a to
 entry b sends x^e to c*x^g with y = (e + u) mod p and g = (e + u) div p.
 
 Several equations.  A system (see :mod:`systems`) lays the entries of its
-equations side by side, so its step maps are block-diagonal and one
+equations side by side (``scalar.span_layout``; one equation is the case
+of one), so its step maps are block-diagonal and one
 exploration decides all equations at once.  Its start depends on the
 first letter: a pre-initial state (key None) sends letter d to the span of
 the start rows for d, one row per equation.  Acceptance is then given by
@@ -231,17 +234,17 @@ def _echelon(a, p: int):
     return np.array([pivots[col] for col in sorted(pivots)], dtype=np.int64).reshape(len(pivots), width)
 
 
-def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, accept=None):
+def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=None):
     """Reachable span states; returns (bases, transitions), or (finals, transitions).
 
     A start row is a flattened tuple of E entry polynomials in r variables,
     of total degree <= ``bound``.  ``starts`` lists the start rows whose
     span is the initial state, or maps every letter to such a list: then
     state 0 is a pre-initial state (key None) whose successor under letter
-    d is the span of ``starts[d]``.  ``moves[x]`` lists the (source entry,
-    target entry, multiplier) triples of letter x: entry b of the image
-    under section letter y is the sum over its triples (a, b, f) of
-    section(entry a * f, y).
+    d is the span of ``starts[d]``.  The keys of ``moves`` are the letters,
+    in order, and ``moves[x]`` lists the (source entry, target entry,
+    multiplier) triples of letter x: entry b of the image under section
+    letter y is the sum over its triples (a, b, f) of section(entry a * f, y).
 
     Without ``accept``, ``bases`` lazily yields the echelon basis of each
     state, each row decoded back to a tuple of E polynomials, so only one
@@ -251,6 +254,7 @@ def explore(field, r: int, bound: int, starts, letters, moves, state_cap: int, a
     among them: the empty word is the caller's to decide).
     """
     p = field.p
+    letters = tuple(moves)
     dispatch = isinstance(starts, dict)
     rows = [row for d in letters for row in starts[d]] if dispatch else starts
     sections = p**r

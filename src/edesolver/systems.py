@@ -98,12 +98,6 @@ class SystemSpec:
                         raise StructureError("xi coefficient outside the base ring")
 
 
-def _coeff_at(sm: Summand, point, p: int) -> int:
-    if sm.coeff is None:
-        return 1
-    return sm.coeff.evaluate(point)
-
-
 def _peel_parts(sys: SystemSpec, equation) -> tuple:
     """Per summand (summand, q, bases, next bases P^p): the prefix-independent
     parts of peeling, companion elements evaluated at the companion matrix.
@@ -123,7 +117,7 @@ def _peel_parts(sys: SystemSpec, equation) -> tuple:
 def _peel(sys: SystemSpec, parts, prefix):
     new_q = []
     for sm, q, bases, _ in parts:
-        q = q * _coeff_at(sm, prefix, sys.field.p)
+        q = q * (1 if sm.coeff is None else sm.coeff.evaluate(prefix))
         for base, d in zip(bases, prefix):
             if d:
                 q = q * base**d
@@ -182,29 +176,10 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     exploration.
     """
     peeled = peel_last_digits(sys)
-    letters = tuple(prefix for prefix, _ in peeled)
-    moves = {x: [] for x in letters}
-    groups = []  # acceptance group of every entry, equations side by side
-    for e, ede in enumerate(peeled[0][1]):  # moves do not depend on the prefix
-        offset = len(groups)
-        groups += [(e, g) for g in scalar.span_entries(ede)[1]]
-        for x, triples in scalar.span_moves(ede).items():
-            moves[x] += [(a + offset, b + offset, f) for a, b, f in triples]
-    zero = Poly.zero(sys.field, sys.r)
-    starts = {}
-    for prefix, edes in peeled:
-        starts[prefix] = []
-        offset = 0
-        for ede in edes:
-            entries = scalar.span_entries(ede)[0]
-            row = [zero] * len(groups)
-            row[offset:offset + len(entries)] = entries
-            starts[prefix].append(row)
-            offset += len(entries)
+    groups, moves = scalar.span_layout(peeled[0][1])  # moves do not depend on the prefix
+    starts = {prefix: scalar.span_starts(edes) for prefix, edes in peeled}
     bound = max(scalar.degree_bound(ede)[1] for _, edes in peeled for ede in edes)
-    finals, transitions = span.explore(
-        sys.field, sys.r, bound, starts, letters, moves, state_cap, accept=groups
-    )
+    finals, transitions = span.explore(sys.field, sys.r, bound, starts, moves, state_cap, accept=groups)
     if all(scalar.is_accepting_residues(ede.q) for ede in peeled[0][1]):  # the zero prefix
         finals.add(0)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]

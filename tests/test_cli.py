@@ -343,6 +343,17 @@ def test_enum_word_cap(capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["enum", "verify"])
+def test_huge_max_len_blows_the_word_cap(capsys, monkeypatch, command):
+    # the word count stops at the first length past the cap
+    code, out, err = run(capsys, command, EVEN_N, "--max-len", "1000000")
+    assert (code, out) == (3, "")
+    assert "more than" in err and "words up to length 1000000" in err
+    # and comes before the build
+    monkeypatch.setattr(systems, "solve_system", None)
+    assert run(capsys, command, COMPANION3, "--max-len", "1000000")[0] == 3
+
+
 # ------------------------------------------------------------------- module
 
 def test_module_entry_point():
@@ -395,16 +406,27 @@ def poly_text(draw, p, num_vars):
     return " + ".join(terms) or "0"
 
 
+# The companion rings the fuzz test draws from, by p, as minimal polynomial
+# numerators in theta_1 (rho = 1); "" is the scalar ring.  Each is
+# irreducible (Eisenstein at theta_1) and separable over F_p(theta).
+RINGS = {
+    2: ["", "theta 1", "theta 1 0"],  # xi^2 + xi + theta_1, xi^3 + xi + theta_1
+    3: ["", "theta 0"],  # xi^2 - theta_1
+}
+
+
 @st.composite
 def cli_specs(draw):
-    """A random spec dict: valid, or valid with one field broken."""
+    """(spec dict, mutation): a valid spec, or one with one field broken or
+    with more unknowns than the letter alphabet allows (mutation "alphabet")."""
     p = draw(st.sampled_from((2, 3)))
     r, t = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     spec = {"p": p, "r": r, "t": t}
-    if p == 2 and draw(st.booleans()):
-        # the n = 2 companion of xi^2 + xi + theta_1 (rho = 1)
-        one, theta = "1:" + ",".join("0" * r), "1:" + ",".join("1" + "0" * (r - 1))
-        spec["ring"] = {"companion": {"n": 2, "rho": one, "minpoly_numerators": [theta, one]}}
+    one, theta = "1:" + ",".join("0" * r), "1:" + ",".join("1" + "0" * (r - 1))
+    ring = draw(st.sampled_from(RINGS[p]))
+    if ring:
+        numerators = [{"theta": theta, "1": one, "0": "0"}[c] for c in ring.split()]
+        spec["ring"] = {"companion": {"n": len(numerators), "rho": one, "minpoly_numerators": numerators}}
 
         def elem():
             return [draw(poly_text(p, r)) for _ in range(draw(st.integers(1, 2)))]
@@ -424,7 +446,9 @@ def cli_specs(draw):
         for _ in range(draw(st.integers(1, 2)))
     ]
     first = spec["equations"][0]["summands"][0]
-    mutation = draw(st.sampled_from(["none"] * 6 + ["drop", "retype", "arity", "ring", "summand", "poly"]))
+    mutation = draw(st.sampled_from(
+        ["none"] * 6 + ["drop", "retype", "arity", "ring", "summand", "poly", "alphabet"]
+    ))
     if mutation == "drop":
         del spec[draw(st.sampled_from(["p", "r", "t", "equations"]))]
     elif mutation == "retype":
@@ -442,7 +466,14 @@ def cli_specs(draw):
             first["P"][0] = bad
         else:
             first[key] = bad
-    return spec
+    elif mutation == "alphabet":
+        # p^t letters past digits.MAX_LETTERS = 4096
+        spec["t"] = {2: 13, 3: 8}[p]
+        for eq in spec["equations"]:
+            for sm in eq["summands"]:
+                sm.pop("poly_coeff", None)
+                sm["P"] = [elem() for _ in range(spec["t"])]
+    return spec, mutation
 
 
 def run_quietly(*argv):
@@ -456,11 +487,19 @@ def run_quietly(*argv):
 
 @settings(max_examples=60, deadline=None)
 @given(cli_specs())
-def test_random_specs_end_in_an_exit_status(spec):
+def test_random_specs_end_in_an_exit_status(case):
+    spec, mutation = case
     with tempfile.TemporaryDirectory() as tmp:
         path = str(pathlib.Path(tmp) / "spec.json")
         pathlib.Path(path).write_text(json.dumps(spec))
         code = run_quietly("build", path, "--state-cap", "300")
         assert code in (0, 1, 2, 3)
+        if mutation == "alphabet":
+            assert code == 3
         if code == 0:
             assert run_quietly("verify", path, "--max-len", "2", "--state-cap", "300") == 0
+            # the pre-initial state reaches at least one more state
+            assert run_quietly("build", path, "--state-cap", "1") == 3
+            # p^t >= 2 letters: far more than either word cap up to length 40
+            assert run_quietly("enum", path, "--max-len", "40") == 3
+            assert run_quietly("verify", path, "--max-len", "40", "--state-cap", "300") == 3

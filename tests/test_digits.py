@@ -9,6 +9,7 @@ from edesolver.digits import (
     DigitWord,
     alphabet,
     check_letter,
+    count_words,
     digit_length,
     format_word,
 )
@@ -20,6 +21,19 @@ def test_alphabet_small_cases():
     assert len(alphabet(2, 2)) == 4
     assert len(alphabet(3, 2)) == 9
     assert alphabet(3, 1) == ((0,), (1,), (2,))
+
+
+@pytest.mark.parametrize("size", [2, 3, 9])
+def test_count_words_sums_every_length_up_to_the_cap(size):
+    for max_len in range(6):
+        total = sum(size**l for l in range(max_len + 1))
+        assert count_words(size, max_len, total) == total
+        with pytest.raises(CapacityError, match=f"more than {total - 1} words") as exc:
+            count_words(size, max_len, total - 1)
+        assert exc.value.discovered == total
+    with pytest.raises(CapacityError) as exc:
+        count_words(size, 10**9, 1000)  # stops at the first length past the cap
+    assert exc.value.discovered <= 1000 * size + 1
 
 
 def test_alphabet_is_sorted_and_capped():

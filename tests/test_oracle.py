@@ -472,6 +472,10 @@ def test_compare_word_cap():
     aut = build_automaton(EDE_THETA)
     with pytest.raises(CapacityError):
         compare(EDE_THETA, aut, 4, word_cap=10)
+    # counting stops at the first length past the cap, not at 2^(10^7 + 1) - 1
+    with pytest.raises(CapacityError, match="more than 500000 words") as exc:
+        compare(EDE_THETA, aut, 10**7)
+    assert 500_000 < exc.value.discovered <= 2 * 500_000 + 1
 
 
 def test_compare_matrix_instance():

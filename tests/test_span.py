@@ -215,7 +215,7 @@ ONE = Poly.one(F2, 1)
 def test_image_outside_the_degree_box_raises():
     # theta^3 sends 1 to theta (section by 1), which bound 0 cannot hold
     with pytest.raises(RuntimeError, match="degree box"):
-        span.explore(F2, 1, 0, [(ONE,)], ((1,),), {(1,): [(0, 0, THETA**3)]}, 100)
+        span.explore(F2, 1, 0, [(ONE,)], {(1,): [(0, 0, THETA**3)]}, 100)
 
 
 def test_prime_that_could_overflow_int64_is_capped():
@@ -223,13 +223,13 @@ def test_prime_that_could_overflow_int64_is_capped():
     big = PrimeField(4294967311)
     one = Poly.one(big, 1)
     with pytest.raises(CapacityError):
-        span.explore(big, 1, 0, [(one,)], ((0,),), {(0,): [(0, 0, one)]}, 100)
+        span.explore(big, 1, 0, [(one,)], {(0,): [(0, 0, one)]}, 100)
 
 
 def test_step_matrix_cells_are_capped():
     dense = Poly(F2, 1, {(i,): 1 for i in range(3000)})
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 1, 3000, [(dense,)], ((0,),), {(0,): []}, 100)
+        span.explore(F2, 1, 3000, [(dense,)], {(0,): []}, 100)
     assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
 
 
@@ -237,7 +237,7 @@ def test_step_matrix_cap_names_the_cells_needed():
     # two coordinates in 50 variables: 2^50 sections make any step map too large
     start = Poly.one(F2, 50) + Poly.variable(F2, 50, 0)
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 50, 1, [(start,)], ((0,), (1,)), {(0,): [], (1,): []}, 100)
+        span.explore(F2, 50, 1, [(start,)], {(0,): [], (1,): []}, 100)
     assert exc.value.discovered == 2
     assert str(exc.value) == (
         "2 coordinates reachable: their step maps need 2 letters x 2^50 sections x 2^2 "
