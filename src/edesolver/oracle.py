@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fsa
-from .companion import MatrixEde, evaluate_at_companion
+from .companion import MatrixEde
 from .digits import DigitWord, alphabet, count_words
 from .errors import StructureError
 from .gfpoly import Poly
@@ -57,23 +57,12 @@ BATCH_CELLS = 1 << 15
 
 
 def _equations(spec) -> list:
-    """Every equation as [(coeff | None, q, bases)] of Poly or PolyMatrix ring elements.
-
-    Companion data is evaluated at the companion matrix once per summand.
-    """
+    """Every equation as [(coeff | None, q, bases)] of Poly or PolyMatrix ring elements."""
     if isinstance(spec, (ScalarEde, MatrixEde)):
         return [[(None, q, spec.bases[i]) for i, q in enumerate(spec.q)]]
     if not isinstance(spec, SystemSpec):
         raise StructureError(f"cannot evaluate object of type {type(spec).__name__}")
-    comp = spec.companion
-
-    def elem(x):
-        return x if comp is None else evaluate_at_companion(x, comp)
-
-    return [
-        [(sm.coeff, elem(sm.q), tuple(elem(b) for b in sm.bases)) for sm in eq]
-        for eq in spec.equations
-    ]
+    return [spec.ring_summands(eq) for eq in spec.equations]
 
 
 def _pow_cached(base, n: int, cache: dict | None, key):
@@ -238,9 +227,10 @@ def _equation_zeros(p: int, t: int, summands, length: int):
     multiplies the running products by one P_ik^(p^low); the zero tests land
     in their word columns through a fixed permutation.  The cube is cut into
     equal passes of at most BATCH_CELLS cells at the sweep's final extent,
-    and ``low`` takes the fewest products over all passes and steps among
-    the cubes within that cap; a cube of one letter, or of none when no
-    summand has a poly_coeff, is always allowed.
+    and ``low`` is the largest cube within that cap: passes at l + 1
+    letters are at most p^t times those at l, while odometer steps fall by
+    p^t, so no smaller cube needs fewer products.  A cube of one letter, or
+    of none when no summand has a poly_coeff, is always allowed.
     """
     size = p**t  # letters
     # a summand whose constant q is zero vanishes everywhere
@@ -264,14 +254,10 @@ def _equation_zeros(p: int, t: int, summands, length: int):
 
     # poly_coeff is read off the first letter, so then the cube holds one at least
     first = int(any(c is not None for c, _, _ in summands))
-    # equal passes within the cap at the final extent, cut from the cube within
-    # the cap that needs the fewest products: passes times odometer steps
-    width = max(1, BATCH_CELLS // cells(length))
-    low = min(
-        (l for l in range(first, length + 1) if l == first or size**l * cells(l) <= BATCH_CELLS),
-        key=lambda l: -(-(size**l) // width) * size ** (length - l),
-    )
-    passes = -(-(size**low) // width)
+    # the largest cube within the cap, cut into equal passes within the cap at
+    # the final extent
+    low = max(l for l in range(first, length + 1) if l == first or size**l * cells(l) <= BATCH_CELLS)
+    passes = -(-(size**low) // max(1, BATCH_CELLS // cells(length)))
     width = -(-(size**low) // passes)
     hi = length - low
     # the cube reads P^(p^l) for l < low and the odometer P^(p^low): literal

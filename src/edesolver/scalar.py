@@ -38,11 +38,13 @@ the span engine (:mod:`span`): a residue tuple flattens to its s*n^2 entry
 polynomials, C' is folded into the step maps, and a span accepts when it
 lies in the kernel of the map summing the summands entry by entry.
 :func:`span_layout` lays out those entries, acceptance groups and step
-maps for several equations side by side, as :mod:`systems` needs, and a
-single equation is the case of one (``span_layout([ede])``).  The
-language is the same and the reachable spans are far fewer than the
-reachable sets.  :func:`explore` decodes the same spans back into residue
-tuples, to which the set predicates apply as-is.
+maps for several equations side by side, as :mod:`systems` needs, and
+:func:`span_starts` their start rows from given start coefficients; a
+single equation is the case of one.  The language is the same and the
+reachable spans are far fewer than the reachable sets.
+:func:`build_automaton` and :func:`explore` make the same one call to the
+engine: the first keeps its finals, the second decodes its spans back into
+residue tuples, to which the set predicates apply as-is.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class ScalarEde(Equation):
         return entries[0]
 
 
-def _max_degree(elems) -> int:
+def max_degree(elems) -> int:
     """Largest total degree among ``elems``; zero elements count as degree 0."""
     degs = [elem.total_degree() for elem in elems]
     return max((int(d) for d in degs if d != MINUS_INFINITY), default=0)
@@ -144,9 +146,9 @@ def degree_bound(ede) -> tuple:
     stays within N1.
     """
     p = ede.field.p
-    big_m = _max_degree(f for row in ede.bases for f in row)
-    n0 = math.ceil((p * ede.t * big_m + _max_degree([ede.conjugator])) / (p - 1))
-    return n0, max(_max_degree(ede.q), n0)
+    big_m = max_degree(f for row in ede.bases for f in row)
+    n0 = math.ceil((p * ede.t * big_m + max_degree([ede.conjugator])) / (p - 1))
+    return n0, max(max_degree(ede.q), n0)
 
 
 def base_power(ede, i: int, x):
@@ -229,12 +231,21 @@ def span_layout(edes) -> tuple:
     return groups, moves
 
 
-def span_starts(edes) -> list:
+def span_starts(edes, qs) -> list:
     """One start row per equation, laid out as :func:`span_layout` lays it:
-    the entries of its ``q`` in its own slots and zeros in the others."""
-    flat = [[f for elem in ede.q for f in ede.entries(elem)] for ede in edes]
+    the entries of ``qs[e]``, the start coefficients of equation e, in its
+    own slots and zeros in the others."""
+    flat = [[f for elem in q for f in ede.entries(elem)] for ede, q in zip(edes, qs)]
     zero = Poly.zero(edes[0].field, edes[0].r)
     return [[f if k == e else zero for k, fs in enumerate(flat) for f in fs] for e in range(len(flat))]
+
+
+def _span(ede, state_cap: int) -> tuple:
+    """(finals, transitions, bases) of the span exploration of one equation."""
+    groups, moves = span_layout([ede])
+    return span.explore(
+        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede], [ede.q]), moves, state_cap, groups
+    )
 
 
 def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
@@ -244,10 +255,7 @@ def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
     its span (see :mod:`span`), so the predicates above apply to it as-is.
     """
     size = ede.n * ede.n
-    _, moves = span_layout([ede])
-    bases, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede]), moves, state_cap
-    )
+    _, transitions, bases = _span(ede, state_cap)
     keys = [
         frozenset(
             tuple(ede.element(row[i * size:(i + 1) * size]) for i in range(ede.s)) for row in basis
@@ -259,9 +267,6 @@ def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):
 
 def build_automaton(ede, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
     """The DFA over exponent letters accepting exactly the solution words."""
-    groups, moves = span_layout([ede])
-    finals, transitions = span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede]), moves, state_cap, accept=groups
-    )
+    finals, transitions, _ = _span(ede, state_cap)
     labels = [str(i) for i in range(len(transitions))]
     return fsa.Automaton(ede.field.p, ede.t, labels, transitions, 0, finals)

@@ -19,7 +19,8 @@ monomial); the coordinates tracked are those the step's support map
 reaches from the supports of the start rows, which every reachable span
 lives in.  They lie in the box of total degree <= N, the degree bound,
 which the step maps into itself, so a coordinate outside it is a bug and
-raises.
+raises.  One breadth-first pass finds them and, as it reaches each one,
+emits the cells of its row of the step maps below.
 
 Step maps.  The caller gives the multipliers of every digit letter x,
 keyed by x in alphabet order, and the engine reads its alphabet from
@@ -35,9 +36,11 @@ equations side by side (``scalar.span_layout``; one equation is the case
 of one), so its step maps are block-diagonal and one
 exploration decides all equations at once.  Its start depends on the
 first letter: a pre-initial state (key None) sends letter d to the span of
-the start rows for d, one row per equation.  Acceptance is then given by
-entry groups: a row accepts when, within every group, the entries sum to
-zero monomial by monomial, that is when it lies in the kernel of the 0/1
+the start rows for d, one row per equation.
+
+Acceptance.  Every caller gives entry groups, one per equation and matrix
+entry: a row accepts when, within every group, the entries sum to zero
+monomial by monomial, that is when it lies in the kernel of the 0/1
 matrix A summing each group's entries at each monomial.
 
 States.  A state is the reduced row-echelon basis of its span; the
@@ -78,83 +81,72 @@ from .gfpoly import Poly
 MAX_STEP_CELLS = 1 << 24
 
 
-def _coordinates(rows, moves, p: int, r: int, bound: int, num_letters: int) -> list:
-    """Sorted (entry, exponent vector) pairs reachable from the start rows' supports.
+def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
+    """(coords, index, cells): the coordinates and the terms of every L_x, in one pass.
 
-    Raises CapacityError once the dense step maps of the coordinates seen,
-    num_letters * p^r * width^2 cells, would pass MAX_STEP_CELLS.
+    ``coords`` lists, sorted, the (entry, exponent vector) pairs reachable
+    from the start rows' supports, and ``index`` maps each to its position.
+    The breadth-first pass that finds them emits the cells of each one as it
+    reaches it: (letter, row, column, coefficient), row i a coordinate and
+    column y * width + j the coordinate j of section letter y.  A cell may
+    repeat: its coefficients add up.  Raises CapacityError once the dense
+    step maps of the coordinates seen, letters * p^r * width^2 cells, would
+    pass MAX_STEP_CELLS.
     """
-    successors = {}
-    for triples in moves.values():
+    out_of = {}  # source entry -> (letter, target entry, multiplier)
+    for l, triples in enumerate(moves.values()):
         for a, b, f in triples:
-            successors.setdefault(a, set()).update((b, u) for u in f.terms)
+            out_of.setdefault(a, []).append((l, b, f))
+    weights = [p ** (r - 1 - k) for k in range(r)]
     seen = {(j, e) for row in rows for j, f in enumerate(row) for e in f.terms}
     frontier = list(seen)
+    found = []  # (letter, source, section letter, target, coefficient)
     while frontier:
         grown = []
         for a, e in frontier:
             if sum(e) > bound:
                 raise RuntimeError(f"coordinate {e} leaves the degree box of bound {bound}")
-            for b, u in successors.get(a, ()):
-                c = (b, tuple((ei + ui) // p for ei, ui in zip(e, u)))
-                if c not in seen:
-                    seen.add(c)
-                    grown.append(c)
+            for l, b, f in out_of.get(a, ()):
+                for u, c in f.terms.items():
+                    total = [ei + ui for ei, ui in zip(e, u)]
+                    target = (b, tuple(v // p for v in total))
+                    found.append((l, (a, e), sum(w * (v % p) for w, v in zip(weights, total)), target, c))
+                    if target not in seen:
+                        seen.add(target)
+                        grown.append(target)
         width = len(seen)
-        cells = num_letters * p**r * width * width
+        cells = len(moves) * p**r * width * width
         if cells > MAX_STEP_CELLS:
             raise CapacityError(
-                f"{width} coordinates reachable: their step maps need {num_letters} letters x "
+                f"{width} coordinates reachable: their step maps need {len(moves)} letters x "
                 f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
                 discovered=width,
             )
         frontier = grown
-    return sorted(seen)
-
-
-def _step_cells(coords, index, p: int, r: int, letters, moves) -> list:
-    """The terms of every L_x, as (letter, row, column, coefficient) cells.
-
-    Row i is a coordinate, column y * width + j the coordinate j of section
-    letter y.  A cell may repeat: its coefficients add up.
-    """
+    coords = sorted(seen)
+    index = {c: i for i, c in enumerate(coords)}
     width = len(coords)
-    of_entry = {}
-    for i, (a, e) in enumerate(coords):
-        of_entry.setdefault(a, []).append((i, e))
-    weights = [p ** (r - 1 - k) for k in range(r)]
-    cells = []
-    for l, x in enumerate(letters):
-        for a, b, f in moves[x]:
-            for i, e in of_entry.get(a, ()):
-                for u, c in f.terms.items():
-                    total = [ei + ui for ei, ui in zip(e, u)]
-                    y = sum(w * (v % p) for w, v in zip(weights, total))
-                    j = index[b, tuple(v // p for v in total)]
-                    cells.append((l, i, y * width + j, c))
-    return cells
+    return coords, index, [(l, index[i], y * width + index[j], c) for l, i, y, j, c in found]
 
 
-def _step_matrices(coords, index, p: int, r: int, letters, moves):
+def _step_matrices(cells, width: int, p: int, r: int, num_letters: int):
     """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
-    width = len(coords)
-    out = np.zeros((len(letters), width, p**r * width), dtype=np.int64)
-    cells = np.array(_step_cells(coords, index, p, r, letters, moves), dtype=np.int64).reshape(-1, 4)
+    out = np.zeros((num_letters, width, p**r * width), dtype=np.int64)
+    cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
     np.add.at(out, tuple(cells[:, :3].T), cells[:, 3])
     return out % p
 
 
-def _packed_step_maps(coords, index, r: int, letters, moves):
+def _packed_step_maps(cells, width: int, r: int, num_letters: int):
     """L_x over F_2 for every letter x, one int per coordinate.
 
     Entry b of a letter's list is the image of the row whose only set bit is
     b, that is of coordinate width - 1 - b; column J of the dense L_x is its
     bit 2^r * width - 1 - J, so section letter y fills one width-bit lane.
     """
-    width = len(coords)
     top = 2**r * width - 1
-    maps = [[0] * width for _ in letters]
-    for l, i, col, _ in _step_cells(coords, index, 2, r, letters, moves):  # every coefficient is 1
+    maps = [[0] * width for _ in range(num_letters)]
+    for l, i, col, _ in cells:  # every coefficient is 1
         maps[l][width - 1 - i] ^= 1 << (top - col)
     return maps
 
@@ -234,8 +226,8 @@ def _echelon(a, p: int):
     return np.array([pivots[col] for col in sorted(pivots)], dtype=np.int64).reshape(len(pivots), width)
 
 
-def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=None):
-    """Reachable span states; returns (bases, transitions), or (finals, transitions).
+def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
+    """Reachable span states; returns (finals, transitions, bases).
 
     A start row is a flattened tuple of E entry polynomials in r variables,
     of total degree <= ``bound``.  ``starts`` lists the start rows whose
@@ -245,28 +237,29 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=Non
     in order, and ``moves[x]`` lists the (source entry, target entry,
     multiplier) triples of letter x: entry b of the image under section
     letter y is the sum over its triples (a, b, f) of section(entry a * f, y).
+    ``accept`` maps each entry to its acceptance group.
 
-    Without ``accept``, ``bases`` lazily yields the echelon basis of each
+    ``finals`` holds the states whose rows sum to zero within every group
+    (the pre-initial state is never among them: the empty word is the
+    caller's to decide).  ``bases`` lazily yields the echelon basis of each
     state, each row decoded back to a tuple of E polynomials, so only one
-    state's decoded rows are alive at a time.  ``accept`` maps each
-    entry to its acceptance group; then ``finals`` holds the states whose
-    rows sum to zero within every group (the pre-initial state is never
-    among them: the empty word is the caller's to decide).
+    state's decoded rows are alive at a time (None for the pre-initial
+    state).
     """
     p = field.p
     letters = tuple(moves)
     dispatch = isinstance(starts, dict)
-    rows = [row for d in letters for row in starts[d]] if dispatch else starts
     sections = p**r
-    coords = _coordinates(rows, moves, p, r, bound, len(letters))
+    coords, index, cells = _setup(
+        [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
+    )
     width = len(coords)
-    index = {c: i for i, c in enumerate(coords)}
 
     cols = {}  # column k of A sums one acceptance group at one monomial
-    column_of = [] if accept is None else [cols.setdefault((accept[j], e), len(cols)) for j, e in coords]
+    column_of = [cols.setdefault((accept[j], e), len(cols)) for j, e in coords]
 
     if p == 2:
-        maps = dict(zip(letters, _packed_step_maps(coords, index, r, letters, moves)))
+        maps = dict(zip(letters, _packed_step_maps(cells, width, r, len(letters))))
         lane = (1 << width) - 1
         shifts = [width * (sections - 1 - y) for y in range(sections)]
 
@@ -295,7 +288,7 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=Non
         def accepting(key):
             return not any((row & mask).bit_count() & 1 for row in _unpack(key, width) for mask in masks)
     else:
-        maps = dict(zip(letters, _step_matrices(coords, index, p, r, letters, moves)))
+        maps = dict(zip(letters, _step_matrices(cells, width, p, r, len(letters))))
 
         def span_of(start_rows):
             a = np.zeros((len(start_rows), width), dtype=np.int64)
@@ -317,9 +310,7 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=Non
         def basis(key):
             return matrix(key).tolist()
 
-        sums = np.zeros((width, len(cols)), dtype=np.int64)
-        for i, k in enumerate(column_of):
-            sums[i, k] = 1
+        sums = np.eye(len(cols), dtype=np.int64)[column_of]  # A: row i is the unit vector of its column
 
         def accepting(key):
             return not (matrix(key) @ sums % p).any()
@@ -330,13 +321,10 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=Non
     first = {d: span_of(starts[d]) for d in letters} if dispatch else None
     initial = None if dispatch else span_of(starts)
     keys, transitions = fsa.explore_dfa(letters, initial, delta, state_cap)
-
-    if accept is not None:
-        finals = {i for i, key in enumerate(keys) if key is not None and accepting(key)}
-        return finals, transitions
+    finals = {i for i, key in enumerate(keys) if key is not None and accepting(key)}
 
     # coords are sorted by entry, so each entry owns one slice of a row
-    ends = [bisect.bisect_left(coords, (j,)) for j in range(len(rows[0]) + 1)]
+    ends = [bisect.bisect_left(coords, (j,)) for j in range(len(accept) + 1)]
     slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
     polys = {}  # states share entries: one Poly per distinct coefficient vector
 
@@ -350,4 +338,4 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept=Non
     def decode(key):
         return [tuple(poly(j, row[sl]) for j, sl in enumerate(slices)) for row in basis(key)]
 
-    return (decode(key) for key in keys), transitions
+    return finals, transitions, (None if key is None else decode(key) for key in keys)

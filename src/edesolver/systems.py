@@ -8,16 +8,19 @@ coefficient-free equations, one per last-digit tuple d:
 
     sum_i  coeff_i(d) * Q_i * prod_k P_ik^{d_k}  *  prod_k (P_ik^p)^{m_k} = 0 .
 
-The peeled equations are ``ScalarEde`` or ``MatrixEde`` instances, and
-the equation layer of :mod:`scalar` serves both rings alike.  The peeled
-equations of one system share their bases (P_ik^p, and the conjugator C')
-whatever d is, so they share one step map.  :func:`solve_system` lays the
-flattened entries of all equations side by side, making the step maps
-block-diagonal, and runs one span exploration (:mod:`span`) for the whole
-system: a pre-initial state reads the last digit d and moves to the span
-of the peeled starting residues for d, one row per equation; a span
-accepts when every equation's residues cancel.  The empty word, the zero
-tuple, accepts when the starting residues of the zero prefix d = 0 cancel.
+Only the start coefficients  coeff_i(d) * Q_i * prod_k P_ik^{d_k}  depend
+on d: the bases P_ik^p, and the conjugator C' of a companion ring, are the
+same for every d.  So :func:`solve_system` builds one ``ScalarEde`` or
+``MatrixEde`` per system equation, whose step maps serve every prefix,
+and peels only the start coefficients per prefix.  It lays the flattened
+entries of all equations side by side (``scalar.span_layout``), making the
+step maps block-diagonal, and runs one span exploration (:mod:`span`) for
+the whole system: a pre-initial state reads the last digit d and moves to
+the span of the start rows for d (``scalar.span_starts``), one row per
+equation; a span accepts when every equation's residues cancel.  The empty
+word, the zero tuple, accepts when the start coefficients of the zero
+prefix d = 0 cancel.  :func:`peel_equation` and :func:`peel_last_digits`
+give the peeled equations themselves.
 """
 
 from __future__ import annotations
@@ -97,35 +100,34 @@ class SystemSpec:
                     if not isinstance(c, Poly) or c.field != self.field or c.num_vars != self.r:
                         raise StructureError("xi coefficient outside the base ring")
 
+    def ring_summands(self, equation) -> list:
+        """[(coeff | None, q, bases)] of one equation, companion data evaluated at B'."""
+        comp = self.companion
 
-def _peel_parts(sys: SystemSpec, equation) -> tuple:
-    """Per summand (summand, q, bases, next bases P^p): the prefix-independent
-    parts of peeling, companion elements evaluated at the companion matrix.
-    """
-    comp = sys.companion
-    parts = []
-    for sm in equation:
-        if comp is None:
-            parts.append((sm, sm.q, sm.bases, tuple(b.frobenius() for b in sm.bases)))
-        else:
-            q = evaluate_at_companion(sm.q, comp)
-            mats = tuple(evaluate_at_companion(b, comp) for b in sm.bases)
-            parts.append((sm, q, mats, tuple(m**sys.field.p for m in mats)))
-    return tuple(parts)
+        def elem(x):
+            return x if comp is None else evaluate_at_companion(x, comp)
+
+        return [(sm.coeff, elem(sm.q), tuple(elem(b) for b in sm.bases)) for sm in equation]
 
 
-def _peel(sys: SystemSpec, parts, prefix):
-    new_q = []
-    for sm, q, bases, _ in parts:
-        q = q * (1 if sm.coeff is None else sm.coeff.evaluate(prefix))
+def _starts(summands, prefix) -> tuple:
+    """coeff_i(prefix) * q_i * prod_k P_ik^{prefix_k} for every summand of ``ring_summands``."""
+    out = []
+    for coeff, q, bases in summands:
+        q = q * (1 if coeff is None else coeff.evaluate(prefix))
         for base, d in zip(bases, prefix):
             if d:
                 q = q * base**d
-        new_q.append(q)
-    new_bases = tuple(part[3] for part in parts)
+        out.append(q)
+    return tuple(out)
+
+
+def _peeled(sys: SystemSpec, summands, q):
+    """The coefficient-free equation with start coefficients ``q`` and bases P_ik^p."""
+    bases = tuple(tuple(b**sys.field.p for b in bs) for _, _, bs in summands)
     if sys.companion is None:
-        return scalar.ScalarEde(sys.field, sys.r, sys.t, tuple(new_q), new_bases)
-    return MatrixEde(sys.companion, tuple(new_q), new_bases)
+        return scalar.ScalarEde(sys.field, sys.r, sys.t, q, bases)
+    return MatrixEde(sys.companion, q, bases)
 
 
 def peel_equation(sys: SystemSpec, equation, prefix):
@@ -135,31 +137,26 @@ def peel_equation(sys: SystemSpec, equation, prefix):
     with bases P_ik^p; same shape with matrices in the companion ring.
     """
     prefix = digits.check_letter(prefix, sys.field.p, sys.t)
-    return _peel(sys, _peel_parts(sys, equation), prefix)
+    summands = sys.ring_summands(equation)
+    return _peeled(sys, summands, _starts(summands, prefix))
 
 
 def peel_last_digits(sys: SystemSpec) -> list:
-    """[(prefix letter, peeled equations)] for all p^t last-digit tuples.
-
-    Prefix-independent parts are computed once per equation, C' once per system.
-    """
-    parts = [_peel_parts(sys, eq) for eq in sys.equations]
-    out = [(x, tuple(_peel(sys, pc, x) for pc in parts)) for x in digits.alphabet(sys.field.p, sys.t)]
-    cprime = out[0][1][0].conjugator
-    for ede in (ede for _, edes in out for ede in edes):
-        vars(ede)["conjugator"] = cprime  # fill the cached property
-    return out
+    """[(prefix letter, peeled equations)] for all p^t last-digit tuples."""
+    return [
+        (x, tuple(peel_equation(sys, eq, x) for eq in sys.equations))
+        for x in digits.alphabet(sys.field.p, sys.t)
+    ]
 
 
 def solves_at_zero(sys: SystemSpec, equation) -> bool:
     """Whether the zero tuple solves one equation.
 
     At n = 0 every exponential factor is 1, so the left-hand side is just
-    sum_i coeff_i(0) * q_i: the starting residues of the equation peeled
-    at the zero prefix, which cancel exactly when it vanishes.
+    sum_i coeff_i(0) * q_i: the start coefficients of the zero prefix,
+    which cancel exactly when it vanishes.
     """
-    zero = (0,) * sys.t
-    return scalar.is_accepting_residues(_peel(sys, _peel_parts(sys, equation), zero).q)
+    return scalar.is_accepting_residues(_starts(sys.ring_summands(equation), (0,) * sys.t))
 
 
 def equation_language(sys: SystemSpec, equation, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
@@ -175,12 +172,17 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     the zero tuple solves every equation.  ``state_cap`` bounds the joint
     exploration.
     """
-    peeled = peel_last_digits(sys)
-    groups, moves = scalar.span_layout(peeled[0][1])  # moves do not depend on the prefix
-    starts = {prefix: scalar.span_starts(edes) for prefix, edes in peeled}
-    bound = max(scalar.degree_bound(ede)[1] for _, edes in peeled for ede in edes)
-    finals, transitions = span.explore(sys.field, sys.r, bound, starts, moves, state_cap, accept=groups)
-    if all(scalar.is_accepting_residues(ede.q) for ede in peeled[0][1]):  # the zero prefix
+    letters = digits.alphabet(sys.field.p, sys.t)
+    summands = [sys.ring_summands(eq) for eq in sys.equations]
+    qs = {x: [_starts(sms, x) for sms in summands] for x in letters}
+    # one equation per system equation: its bases P^p and C' serve every prefix
+    edes = [_peeled(sys, sms, q) for sms, q in zip(summands, qs[letters[0]])]
+    groups, moves = scalar.span_layout(edes)
+    starts = {x: scalar.span_starts(edes, qs[x]) for x in letters}
+    n0 = max(scalar.degree_bound(ede)[0] for ede in edes)
+    bound = max(n0, scalar.max_degree(f for q in qs.values() for elems in q for f in elems))
+    finals, transitions, _ = span.explore(sys.field, sys.r, bound, starts, moves, state_cap, groups)
+    if all(scalar.is_accepting_residues(q) for q in qs[letters[0]]):  # the zero prefix
         finals.add(0)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]
     return fsa.Automaton(sys.field.p, sys.t, labels, transitions, 0, finals)

@@ -178,11 +178,10 @@ def test_packed_step_images_equal_the_dense_products(data):
     letters = ((0,), (1,))
     moves = {x: [(entry(), entry(), poly()) for _ in range(data.draw(st.integers(0, 4)))] for x in letters}
     start = [tuple(poly() for _ in range(entries))]
-    coords = span._coordinates(start, moves, 2, r, 3 * r, len(letters))
-    index = {c: i for i, c in enumerate(coords)}
+    coords, _, cells = span._setup(start, moves, 2, r, 3 * r)
     width, sections = len(coords), 2**r
-    dense = span._step_matrices(coords, index, 2, r, letters, moves)
-    packed = span._packed_step_maps(coords, index, r, letters, moves)
+    dense = span._step_matrices(cells, width, 2, r, len(letters))
+    packed = span._packed_step_maps(cells, width, r, len(letters))
     row = data.draw(st.integers(0, 2**width - 1))
     for l in range(len(letters)):
         want = (np.array(bits(row, width), dtype=np.int64) @ dense[l] % 2).reshape(sections, width)
@@ -215,7 +214,7 @@ ONE = Poly.one(F2, 1)
 def test_image_outside_the_degree_box_raises():
     # theta^3 sends 1 to theta (section by 1), which bound 0 cannot hold
     with pytest.raises(RuntimeError, match="degree box"):
-        span.explore(F2, 1, 0, [(ONE,)], {(1,): [(0, 0, THETA**3)]}, 100)
+        span.explore(F2, 1, 0, [(ONE,)], {(1,): [(0, 0, THETA**3)]}, 100, [0])
 
 
 def test_prime_that_could_overflow_int64_is_capped():
@@ -223,13 +222,13 @@ def test_prime_that_could_overflow_int64_is_capped():
     big = PrimeField(4294967311)
     one = Poly.one(big, 1)
     with pytest.raises(CapacityError):
-        span.explore(big, 1, 0, [(one,)], {(0,): [(0, 0, one)]}, 100)
+        span.explore(big, 1, 0, [(one,)], {(0,): [(0, 0, one)]}, 100, [0])
 
 
 def test_step_matrix_cells_are_capped():
     dense = Poly(F2, 1, {(i,): 1 for i in range(3000)})
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 1, 3000, [(dense,)], {(0,): []}, 100)
+        span.explore(F2, 1, 3000, [(dense,)], {(0,): []}, 100, [0])
     assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
 
 
@@ -237,7 +236,7 @@ def test_step_matrix_cap_names_the_cells_needed():
     # two coordinates in 50 variables: 2^50 sections make any step map too large
     start = Poly.one(F2, 50) + Poly.variable(F2, 50, 0)
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 50, 1, [(start,)], {(0,): [], (1,): []}, 100)
+        span.explore(F2, 50, 1, [(start,)], {(0,): [], (1,): []}, 100, [0])
     assert exc.value.discovered == 2
     assert str(exc.value) == (
         "2 coordinates reachable: their step maps need 2 letters x 2^50 sections x 2^2 "

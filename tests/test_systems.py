@@ -1,5 +1,8 @@
 """Coefficient peeling and the one-exploration solver of whole systems."""
 
+import contextlib
+import hashlib
+import io
 import itertools
 import pathlib
 import random
@@ -25,6 +28,9 @@ from edesolver.systems import (
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+# n = 2 companion over F_2, t = 2, two equations with poly_coeff: a system
+# shape no bundled spec has
+COMPANION_SYSTEM_T2 = pathlib.Path(__file__).resolve().parent / "specs" / "companion_system_t2.json"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -354,6 +360,29 @@ def test_known_systems_match_reference():
         EVEN_N, THETA_EQ, FERMAT, TWO_ZERO_EQS, UNSOLVABLE_MEET, EVEN_AND_ZERO, matrix_even_n(),
     ):
         assert_matches_reference(sys_spec)
+
+
+def test_one_equation_object_per_system_equation(monkeypatch):
+    # the prefixes share each equation's bases P^p and C': only the start
+    # coefficients are peeled per prefix, not p^t equations per equation
+    sys_spec = cli.load_spec(str(COMPANION_SYSTEM_T2))
+    assert (sys_spec.field.p, sys_spec.t, len(sys_spec.equations)) == (2, 2, 2)
+    built = []
+    init = scalar.Equation.__post_init__
+    monkeypatch.setattr(scalar.Equation, "__post_init__", lambda ede: built.append(ede) or init(ede))
+    solve_system(sys_spec)
+    assert len(built) == 2
+
+
+# SHA-256 of `edesolver build` on COMPANION_SYSTEM_T2 (exit status 0)
+COMPANION_SYSTEM_T2_DIGEST = "9d20adfb77c0bb9d35d64a0a24baf1661e6b30d2b3491f2d2dcf7e5ada31c326"
+
+
+def test_companion_system_t2_build_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["build", str(COMPANION_SYSTEM_T2)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPANION_SYSTEM_T2_DIGEST
 
 
 def test_all_zero_starts_explore_only_the_zero_space():
