@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import fsa, oracle, systems
-from .companion import CompanionSpec, conjugator
+from .companion import CompanionSpec
 from .digits import DigitWord, alphabet, count_words
 from .errors import CapacityError, SingularConjugatorError, SpecFileError, StructureError
 from .gfpoly import Poly, PrimeField, parse_int, parse_poly
@@ -106,8 +106,7 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
         )
         try:
             comp = CompanionSpec(field, r, n, rho, numerators)
-            conjugator(comp)  # rejects a reducible or inseparable minimal polynomial
-        except (StructureError, SingularConjugatorError) as exc:
+        except StructureError as exc:
             _fail(f"{origin}.ring.companion", str(exc))
     eqs_obj = _get(obj, "equations", list, origin)
     equations = []
@@ -143,9 +142,14 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
             summands.append(Summand(coeff, q, bases))
         equations.append(tuple(summands))
     try:
-        return SystemSpec(field, r, t, comp, tuple(equations))
+        spec = SystemSpec(field, r, t, comp, tuple(equations))
     except StructureError as exc:
         _fail(origin, str(exc))
+    try:
+        spec.conjugator  # a singular C' is bad input; the build reuses this one
+    except SingularConjugatorError as exc:
+        _fail(f"{origin}.ring.companion", str(exc))
+    return spec
 
 
 def load_spec(path: str) -> SystemSpec:

@@ -32,6 +32,7 @@ case with C' = 1; they are re-exported here.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -284,12 +285,15 @@ class MatrixEde(Equation):
     All member matrices must come from evaluating xi-polynomials at the
     companion matrix (enforced by :meth:`from_xi_coeffs`; the raw
     constructor is for internally derived equations, whose members stay in
-    the commutative subring by construction).
+    the commutative subring by construction).  ``cprime`` passes on the
+    C' of ``base`` when the caller has it, as a system's equations share
+    one; without it :attr:`conjugator` computes C' from ``base``.
     """
 
     base: CompanionSpec
     q: tuple
     bases: tuple
+    cprime: PolyMatrix | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def _member(self, elem) -> bool:
         return (
@@ -329,7 +333,7 @@ class MatrixEde(Equation):
 
     @cached_property
     def conjugator(self) -> PolyMatrix:
-        return conjugator(self.base)[0]
+        return conjugator(self.base)[0] if self.cprime is None else self.cprime
 
     def entries(self, elem: PolyMatrix) -> tuple:
         return tuple(f for row in elem.rows for f in row)

@@ -167,6 +167,27 @@ def base_power(ede, i: int, x):
     return out
 
 
+def digit_powers(base, p: int) -> tuple:
+    """(P, P^2, .., P^(p-1)): entry d - 1 is the factor P^d a digit d < p contributes.
+
+    One product per entry; :func:`letter_power` reads a letter's factor off
+    the tables of a summand's bases.
+    """
+    out = [base]
+    for _ in range(p - 2):
+        out.append(out[-1] * base)
+    return tuple(out)
+
+
+def letter_power(tables, x):
+    """prod_k P_k^{x_k} from the :func:`digit_powers` of each base; None when every digit is 0."""
+    out = None
+    for table, d in zip(tables, x):
+        if d:
+            out = table[d - 1] if out is None else out * table[d - 1]
+    return out
+
+
 def step(ede, i: int, x, y, f):
     """One digit step on summand i: multiply by the base power and C', section by y."""
     return (f * base_power(ede, i, x) * ede.conjugator).section(y)
@@ -217,15 +238,23 @@ def span_layout(edes) -> tuple:
     in alphabet order: entry (i, a, b) of an image sums entry (i, a, k) times
     entry (k, b) of summand i's multiplier (base power times C') over k, so
     the step maps are block-diagonal.  The equations share one alphabet.
+    A letter's base power comes from the bases' :func:`digit_powers`, so no
+    letter pays for a power of its own.
     """
     groups, moves = [], {x: [] for x in edes[0].exponent_alphabet}
     for e, ede in enumerate(edes):
         n, cprime = ede.n, ede.conjugator
+        plain = cprime == ede.one  # as in the scalar ring: no product with C'
         for i in range(ede.s):
             offset = len(groups)  # of summand i
             groups += [(e, g) for g in range(n * n)]
+            tables = [digit_powers(base, ede.field.p) for base in ede.bases[i]]
             for x, triples in moves.items():
-                mult = ede.entries(base_power(ede, i + 1, x) * cprime)
+                power = letter_power(tables, x)
+                if power is None:
+                    mult = ede.entries(cprime)
+                else:
+                    mult = ede.entries(power if plain else power * cprime)
                 for a, k, b in itertools.product(range(n), repeat=3):
                     triples.append((offset + a * n + k, offset + a * n + b, mult[k * n + b]))
     return groups, moves

@@ -45,25 +45,26 @@ matrix A summing each group's entries at each monomial.
 
 States.  A state is the reduced row-echelon basis of its span; the
 successor under x is the echelon form of the stacked images of the basis
-rows.  The echelon form is canonical, so both representations below give
-the same states in the same order.
+rows.  The echelon form is canonical, so equal spans get equal keys.
 
-Over F_2 a row is one Python int, column j at bit width - 1 - j, so the
-leading column is the top bit.  L_x is a list of width ints of 2^r * width
-bits; the image of a row is the XOR of the entries at its set bits, and
-section letter y owns one width-bit lane of it.  Elimination is XOR, and
-the key is one int: the echelon rows in consecutive width-bit lanes.  It is
-not a tuple of row ints: CPython keeps freed tuples of each small length on
-freelists (up to 2000 per length) that only a full collection empties, and
-tuple keys raised the peak memory of a matrix-suite benchmark run by about
-1.7 MB (5 %).  A row accepts when it meets every column of A, as a mask, in
-an even number of bits.
-
-For p > 2 the key is the bytes of the basis as a numpy int64 matrix.
-Products are reduced mod p after every product; a product sums at most
-width * (p-1)^2, which the cap on step-matrix cells (width^2 * p^r per
-letter) keeps below 2^60.  Spans are small (tens of coordinates), so the
-elimination runs on Python lists.
+Rows.  A row is one Python int: coordinate j holds the b-bit field at
+bits b * (width - 1 - j), so the top field is column 0 and the leading
+column comes from ``bit_length``.  Over F_2 b = 1.  For odd p the top bit of
+every field is a guard, and b is chosen from p and the width so that every
+unreduced sum the kernels form fits below it (:func:`_field_bits`).  L_x is
+a list of width ints of p^r * width fields: the image of a row is the sum
+of its coefficients times the images of its coordinates, and section letter
+y owns one lane of width fields.  Over F_2 the sum and the elimination are
+XOR.  For odd p a row add is one integer add, and reducing mod p is a SWAR
+(SIMD within a register) ladder that subtracts p * 2^j from every field at
+or above it, largest j first (:func:`_reducer`).  The key is one int: the
+echelon rows in consecutive lanes of width * b bits.  It is not a tuple of
+row ints: CPython keeps freed tuples of each small length on freelists (up
+to 2000 per length) that only a full collection empties, and tuple keys
+raised the peak memory of a matrix-suite benchmark run by about 1.7 MB
+(5 %).  A row accepts when, for every column of A, its fields under the
+column's mask sum to zero mod p: over F_2 a parity, for odd p one product
+that gathers the fields into the top one.
 """
 
 from __future__ import annotations
@@ -71,13 +72,12 @@ from __future__ import annotations
 import bisect
 import functools
 
-import numpy as np
-
 from . import fsa
 from .errors import CapacityError
 from .gfpoly import Poly
 
-# Largest number of step-matrix cells (over all letters) one build may allocate.
+# Largest number of step-matrix cells (over all letters) one build may hold:
+# the packed maps take width ints of p^r * width fields per letter.
 MAX_STEP_CELLS = 1 << 24
 
 
@@ -89,8 +89,8 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     The breadth-first pass that finds them emits the cells of each one as it
     reaches it: (letter, row, column, coefficient), row i a coordinate and
     column y * width + j the coordinate j of section letter y.  A cell may
-    repeat: its coefficients add up.  Raises CapacityError once the dense
-    step maps of the coordinates seen, letters * p^r * width^2 cells, would
+    repeat: its coefficients add up.  Raises CapacityError once the step
+    maps of the coordinates seen, letters * p^r * width^2 cells, would
     pass MAX_STEP_CELLS.
     """
     out_of = {}  # source entry -> (letter, target entry, multiplier)
@@ -129,30 +129,73 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     return coords, index, [(l, index[i], y * width + index[j], c) for l, i, y, j, c in found]
 
 
-def _step_matrices(cells, width: int, p: int, r: int, num_letters: int):
-    """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
-    out = np.zeros((num_letters, width, p**r * width), dtype=np.int64)
-    cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
-    np.add.at(out, tuple(cells[:, :3].T), cells[:, 3])
-    return out % p
+def _field_bits(p: int, width: int) -> int:
+    """Bits b of one coordinate's field in a packed row of ``width`` coordinates.
 
-
-def _packed_step_maps(cells, width: int, r: int, num_letters: int):
-    """L_x over F_2 for every letter x, one int per coordinate.
-
-    Entry b of a letter's list is the image of the row whose only set bit is
-    b, that is of coordinate width - 1 - b; column J of the dense L_x is its
-    bit 2^r * width - 1 - J, so section letter y fills one width-bit lane.
+    Over F_2 a field is one bit.  For odd p a field keeps its values below
+    2^(b-1), its top bit a guard for :func:`_reducer`, and b is the least
+    that holds the largest unreduced sum a kernel forms, (p-1) + width*(p-1)^2:
+    a reduced row with up to width pivot rows added, each at most p - 1
+    times.  That also covers an image, at most width*(p-1)^2, and the field
+    sums of the acceptance test, at most width*(p-1).
     """
-    top = 2**r * width - 1
-    maps = [[0] * width for _ in range(num_letters)]
-    for l, i, col, _ in cells:  # every coefficient is 1
-        maps[l][width - 1 - i] ^= 1 << (top - col)
+    return 1 if p == 2 else ((p - 1) * (1 + width * (p - 1))).bit_length() + 1
+
+
+def _reducer(p: int, b: int, count: int):
+    """reduce(x, top): x with each of its ``count`` b-bit fields, all at most top, taken mod p.
+
+    The SWAR form of ``oracle._reduce``: for m = p * 2^j, largest first,
+    subtract m from every field at or above it.  Setting every field's guard
+    bit before subtracting m from all fields at once keeps the borrows inside
+    the fields, and a guard bit survives exactly where its field was at
+    least m.
+    """
+    ones = ((1 << count * b) - 1) // ((1 << b) - 1)  # 1 in every field
+    guard = ones << (b - 1)
+    ladder = []  # (m, m in every field), largest m first
+    m = p
+    while m >> (b - 1) == 0:
+        ladder.insert(0, (m, m * ones))
+        m <<= 1
+    # the steps for a top of bit length k in units of p: the last k of the ladder
+    tails = [ladder[len(ladder) - k:] for k in range(len(ladder) + 1)]
+
+    def reduce(x: int, top: int) -> int:
+        for m, spread in tails[(top // p).bit_length()]:
+            hits = ((x | guard) - spread) & guard
+            if hits:
+                x -= (hits >> (b - 1)) * m
+        return x
+
+    return reduce
+
+
+def _step_maps(p: int, b: int, width: int, sections: int, cells, num_letters: int):
+    """L_x for every letter x, one packed int per coordinate.
+
+    Entry f of a letter's list is the image of the row whose only nonzero
+    field is field f, holding 1, that is of coordinate width - 1 - f.
+    Column J of the dense L_x is its field sections * width - 1 - J, so
+    section letter y fills one lane of width fields.  Repeated cells add up
+    mod p before they are packed.
+    """
+    top = sections * width - 1
+    sums = [{} for _ in range(num_letters)]  # (row field, column field) -> coefficient
+    for l, i, col, c in cells:
+        cell = (width - 1 - i, top - col)
+        sums[l][cell] = sums[l].get(cell, 0) + c
+    maps = []
+    for terms in sums:
+        images = [0] * width
+        for (f, g), c in terms.items():
+            images[f] += c % p << g * b
+        maps.append(images)
     return maps
 
 
 def _image(row: int, step: list) -> int:
-    """The image of a packed row under a packed step map: XOR over its set bits."""
+    """The image of a packed row over F_2: XOR over its set bits."""
     out = 0
     while row:
         low = row & -row
@@ -161,7 +204,19 @@ def _image(row: int, step: list) -> int:
     return out
 
 
-def _xor_echelon(rows, width: int) -> int:
+def _mod_image(p: int, b: int, reduce, row: int, step: list) -> int:
+    """The image of a packed row over odd p: the sum of c * image over its fields c, reduced."""
+    out = count = 0
+    while row:
+        f = (row.bit_length() - 1) // b
+        c = row >> f * b  # the top field
+        out += step[f] if c == 1 else c * step[f]
+        row -= c << f * b
+        count += 1
+    return reduce(out, count * (p - 1) ** 2)
+
+
+def _xor_echelon(width: int, rows) -> int:
     """Reduced row-echelon form over F_2 of packed rows, as one key.
 
     The nonzero echelon rows, leading column (top bit) first, fill
@@ -193,37 +248,81 @@ def _xor_echelon(rows, width: int) -> int:
     return key
 
 
-def _unpack(key: int, width: int) -> list:
-    """The echelon rows of a packed key, leading column first."""
-    mask = (1 << width) - 1
-    count = -(-key.bit_length() // width) if key else 0
-    return [key >> (width * k) & mask for k in range(count - 1, -1, -1)]
+def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> int:
+    """Reduced row-echelon form over odd p of packed rows (fields below p), as one key.
+
+    Each pivot row is reduced and scaled to 1 in its leading field (the top
+    nonzero one).  A row meets the pivots unreduced: clearing field f of
+    value v with c = v mod p adds (p - c) times the pivot of f and drops the
+    multiple of p left in f, and a field that holds a multiple of p is
+    dropped as it comes.  The lead falls with every step, so the fields stay
+    below (p-1) + width*(p-1)^2.  The nonzero echelon rows, leading column
+    first, fill consecutive width*b-bit lanes of the key from the top lane
+    down.
+    """
+    pivots = {}  # leading field -> row
+    for row in rows:
+        steps = 0  # pivot rows added since the row was reduced
+        while row:
+            lead = (row.bit_length() - 1) // b
+            v = row >> lead * b
+            c = v % p
+            if not c:
+                row -= v << lead * b
+                continue
+            prow = pivots.get(lead)
+            if prow is None:
+                row = reduce(row, (p - 1) * (1 + steps * (p - 1)))
+                pivots[lead] = row if c == 1 else reduce(row * pow(c, -1, p), (p - 1) ** 2)
+                break
+            row += (p - c) * prow - ((v + p - c) << lead * b)
+            steps += 1
+    leads = sorted(pivots)
+    mask = (1 << b) - 1
+    for k, lead in enumerate(leads):
+        # the pivot rows below are reduced and zero in each other's leading
+        # fields, so every coefficient to clear is read off the row as it came
+        row = pivots[lead]
+        steps = 0
+        for low in leads[:k]:
+            c = row >> low * b & mask
+            if c:
+                row += (p - c) * pivots[low]
+                steps += 1
+        if steps:
+            pivots[lead] = reduce(row, (p - 1) * (1 + steps * (p - 1)))
+    key = 0
+    for lead in reversed(leads):
+        key = key << width * b | pivots[lead]
+    return key
 
 
-def _echelon(a, p: int):
-    """Reduced row-echelon form of ``a`` mod p with the zero rows dropped."""
-    width = a.shape[1]
-    pivots = {}  # pivot column -> row; each row is zero in the other pivot columns
-    for row in a.tolist():
-        for col, prow in pivots.items():
-            c = row[col]
-            if c:
-                row = [(v - c * w) % p for v, w in zip(row, prow)]
-        c = next(filter(None, row), 0)
-        if not c:
-            continue
-        lead = row.index(c)
-        if c != 1:
-            inv = pow(c, -1, p)
-            row = [v * inv % p for v in row]
-        for col, prow in pivots.items():
-            c = prow[lead]
-            if c:
-                pivots[col] = [(v - c * w) % p for v, w in zip(prow, row)]
-        pivots[lead] = row
-        if len(pivots) == width:
-            break
-    return np.array([pivots[col] for col in sorted(pivots)], dtype=np.int64).reshape(len(pivots), width)
+def _kernels(p: int, width: int, sections: int) -> tuple:
+    """(b, step_maps, image, echelon) for packed rows of ``width`` coordinates over F_p.
+
+    ``step_maps(cells, num_letters)`` packs the L_x of :func:`_setup`'s
+    cells, ``image(row, step_map)`` is the packed image of a row, section
+    letter y in lane sections - 1 - y of width*b bits, and
+    ``echelon(rows)`` is the key of the span of packed rows.  F_2 takes the
+    XOR kernels, with b = 1.
+    """
+    b = _field_bits(p, width)
+    step_maps = functools.partial(_step_maps, p, b, width, sections)
+    if p == 2:
+        return b, step_maps, _image, functools.partial(_xor_echelon, width)
+    return (
+        b,
+        step_maps,
+        functools.partial(_mod_image, p, b, _reducer(p, b, sections * width)),
+        functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width),
+    )
+
+
+def _unpack(key: int, lane: int) -> list:
+    """The echelon rows of a packed key, leading column first; each row fills ``lane`` bits."""
+    mask = (1 << lane) - 1
+    count = -(-key.bit_length() // lane) if key else 0
+    return [key >> (lane * k) & mask for k in range(count - 1, -1, -1)]
 
 
 def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
@@ -258,62 +357,44 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     cols = {}  # column k of A sums one acceptance group at one monomial
     column_of = [cols.setdefault((accept[j], e), len(cols)) for j, e in coords]
 
+    b, step_maps, image, echelon = _kernels(p, width, sections)
+    maps = dict(zip(letters, step_maps(cells, len(letters))))
+    lane = width * b  # the bits of one row
+    shifts = [lane * (sections - 1 - y) for y in range(sections)]
+    field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
+
+    def pack(row):  # a start row: each coefficient in its coordinate's field
+        return sum(c << b * (width - 1 - index[j, e]) for j, f in enumerate(row) for e, c in f.terms.items())
+
+    def span_of(start_rows):
+        return echelon([pack(row) for row in start_rows])
+
+    @functools.lru_cache(maxsize=1)
+    def rows_of(key):  # explore_dfa steps one key by every letter in a row
+        return _unpack(key, lane)
+
+    def step(key, x):
+        step_map = maps[x]
+        images = [image(row, step_map) for row in rows_of(key)]
+        return echelon([im >> shift & row_mask for im in images for shift in shifts])
+
+    def basis(key):
+        return [[row >> b * (width - 1 - j) & field_mask for j in range(width)] for row in _unpack(key, lane)]
+
+    masks = [0] * len(cols)  # the fields of each column of A
+    for i, k in enumerate(column_of):
+        masks[k] |= field_mask << b * (width - 1 - i)
+
     if p == 2:
-        maps = dict(zip(letters, _packed_step_maps(cells, width, r, len(letters))))
-        lane = (1 << width) - 1
-        shifts = [width * (sections - 1 - y) for y in range(sections)]
-
-        def span_of(start_rows):  # every coefficient is 1
-            return _xor_echelon(
-                [sum(1 << (width - 1 - index[j, e]) for j, f in enumerate(row) for e in f.terms) for row in start_rows],
-                width,
-            )
-
-        @functools.lru_cache(maxsize=1)
-        def rows_of(key):  # explore_dfa steps one key by every letter in a row
-            return _unpack(key, width)
-
-        def step(key, x):
-            step_map = maps[x]
-            images = [_image(row, step_map) for row in rows_of(key)]
-            return _xor_echelon([image >> shift & lane for image in images for shift in shifts], width)
-
-        def basis(key):
-            return [[row >> (width - 1 - j) & 1 for j in range(width)] for row in _unpack(key, width)]
-
-        masks = [0] * len(cols)  # the 1s of each column of A
-        for i, k in enumerate(column_of):
-            masks[k] |= 1 << (width - 1 - i)
 
         def accepting(key):
-            return not any((row & mask).bit_count() & 1 for row in _unpack(key, width) for mask in masks)
+            return not any((row & mask).bit_count() & 1 for row in _unpack(key, lane) for mask in masks)
     else:
-        maps = dict(zip(letters, _step_matrices(cells, width, p, r, len(letters))))
+        ones, top = row_mask // field_mask, b * (width - 1)
 
-        def span_of(start_rows):
-            a = np.zeros((len(start_rows), width), dtype=np.int64)
-            for k, row in enumerate(start_rows):
-                for j, f in enumerate(row):
-                    for e, c in f.terms.items():
-                        a[k, index[j, e]] = c
-            return _echelon(a, p).tobytes()
-
-        def matrix(key):
-            if not width:  # all starts are zero: every state is the zero space
-                return np.zeros((0, 0), dtype=np.int64)
-            return np.frombuffer(key, dtype=np.int64).reshape(-1, width)
-
-        def step(key, x):
-            b = matrix(key)
-            return _echelon((b @ maps[x] % p).reshape(len(b) * sections, width), p).tobytes()
-
-        def basis(key):
-            return matrix(key).tolist()
-
-        sums = np.eye(len(cols), dtype=np.int64)[column_of]  # A: row i is the unit vector of its column
-
-        def accepting(key):
-            return not (matrix(key) @ sums % p).any()
+        def accepting(key):  # times ones, the top field sums the fields under the mask
+            rows = _unpack(key, lane)
+            return not any(((row & mask) * ones >> top & field_mask) % p for row in rows for mask in masks)
 
     def delta(key, x):
         return first[x] if key is None else step(key, x)

@@ -12,22 +12,26 @@ Only the start coefficients  coeff_i(d) * Q_i * prod_k P_ik^{d_k}  depend
 on d: the bases P_ik^p, and the conjugator C' of a companion ring, are the
 same for every d.  So :func:`solve_system` builds one ``ScalarEde`` or
 ``MatrixEde`` per system equation, whose step maps serve every prefix,
-and peels only the start coefficients per prefix.  It lays the flattened
-entries of all equations side by side (``scalar.span_layout``), making the
-step maps block-diagonal, and runs one span exploration (:mod:`span`) for
-the whole system: a pre-initial state reads the last digit d and moves to
-the span of the start rows for d (``scalar.span_starts``), one row per
-equation; a span accepts when every equation's residues cancel.  The empty
-word, the zero tuple, accepts when the start coefficients of the zero
-prefix d = 0 cancel.  :func:`peel_equation` and :func:`peel_last_digits`
-give the peeled equations themselves.
+and peels only the start coefficients per prefix, reading every
+P_ik^{d_k} off one table of base powers per base.  C' is computed once
+per spec (``SystemSpec.conjugator``) and shared by all its equations.
+It lays the flattened entries of all equations side by side
+(``scalar.span_layout``), making the step maps block-diagonal, and runs
+one span exploration (:mod:`span`) for the whole system: a pre-initial
+state reads the last digit d and moves to the span of the start rows for
+d (``scalar.span_starts``), one row per equation; a span accepts when
+every equation's residues cancel.  The empty word, the zero tuple,
+accepts when the start coefficients of the zero prefix d = 0 cancel.
+:func:`peel_equation` and :func:`peel_last_digits` give the peeled
+equations themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from . import digits, fsa, scalar, span
+from . import companion, digits, fsa, scalar, span
 from .companion import CompanionSpec, MatrixEde, evaluate_at_companion
 from .errors import StructureError
 from .gfpoly import Poly, PrimeField
@@ -100,6 +104,15 @@ class SystemSpec:
                     if not isinstance(c, Poly) or c.field != self.field or c.num_vars != self.r:
                         raise StructureError("xi coefficient outside the base ring")
 
+    @cached_property
+    def conjugator(self):
+        """C' of the companion ring, computed once per spec; None for the scalar ring.
+
+        Raises :class:`SingularConjugatorError` for a reducible or
+        inseparable minimal polynomial (see :func:`companion.conjugator`).
+        """
+        return None if self.companion is None else companion.conjugator(self.companion)[0]
+
     def ring_summands(self, equation) -> list:
         """[(coeff | None, q, bases)] of one equation, companion data evaluated at B'."""
         comp = self.companion
@@ -110,16 +123,23 @@ class SystemSpec:
         return [(sm.coeff, elem(sm.q), tuple(elem(b) for b in sm.bases)) for sm in equation]
 
 
-def _starts(summands, prefix) -> tuple:
-    """coeff_i(prefix) * q_i * prod_k P_ik^{prefix_k} for every summand of ``ring_summands``."""
+def _starts(p: int, summands, prefixes) -> list:
+    """The start coefficients coeff_i(d) * q_i * prod_k P_ik^{d_k} of each prefix d.
+
+    One tuple per prefix of ``prefixes``, one entry per summand of
+    ``ring_summands``; the base powers come from one table of P^d, d < p,
+    per base.
+    """
+    tables = [[scalar.digit_powers(b, p) for b in bases] for _, _, bases in summands]
     out = []
-    for coeff, q, bases in summands:
-        q = q * (1 if coeff is None else coeff.evaluate(prefix))
-        for base, d in zip(bases, prefix):
-            if d:
-                q = q * base**d
-        out.append(q)
-    return tuple(out)
+    for prefix in prefixes:
+        starts = []
+        for (coeff, q, _), table in zip(summands, tables):
+            q = q * (1 if coeff is None else coeff.evaluate(prefix))
+            power = scalar.letter_power(table, prefix)
+            starts.append(q if power is None else q * power)
+        out.append(tuple(starts))
+    return out
 
 
 def _peeled(sys: SystemSpec, summands, q):
@@ -127,7 +147,7 @@ def _peeled(sys: SystemSpec, summands, q):
     bases = tuple(tuple(b**sys.field.p for b in bs) for _, _, bs in summands)
     if sys.companion is None:
         return scalar.ScalarEde(sys.field, sys.r, sys.t, q, bases)
-    return MatrixEde(sys.companion, q, bases)
+    return MatrixEde(sys.companion, q, bases, sys.conjugator)
 
 
 def peel_equation(sys: SystemSpec, equation, prefix):
@@ -138,7 +158,7 @@ def peel_equation(sys: SystemSpec, equation, prefix):
     """
     prefix = digits.check_letter(prefix, sys.field.p, sys.t)
     summands = sys.ring_summands(equation)
-    return _peeled(sys, summands, _starts(summands, prefix))
+    return _peeled(sys, summands, _starts(sys.field.p, summands, [prefix])[0])
 
 
 def peel_last_digits(sys: SystemSpec) -> list:
@@ -156,7 +176,7 @@ def solves_at_zero(sys: SystemSpec, equation) -> bool:
     sum_i coeff_i(0) * q_i: the start coefficients of the zero prefix,
     which cancel exactly when it vanishes.
     """
-    return scalar.is_accepting_residues(_starts(sys.ring_summands(equation), (0,) * sys.t))
+    return scalar.is_accepting_residues(_starts(sys.field.p, sys.ring_summands(equation), [(0,) * sys.t])[0])
 
 
 def equation_language(sys: SystemSpec, equation, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa.Automaton:
@@ -174,7 +194,7 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     """
     letters = digits.alphabet(sys.field.p, sys.t)
     summands = [sys.ring_summands(eq) for eq in sys.equations]
-    qs = {x: [_starts(sms, x) for sms in summands] for x in letters}
+    qs = dict(zip(letters, zip(*[_starts(sys.field.p, sms, letters) for sms in summands])))
     # one equation per system equation: its bases P^p and C' serve every prefix
     edes = [_peeled(sys, sms, q) for sms, q in zip(summands, qs[letters[0]])]
     groups, moves = scalar.span_layout(edes)

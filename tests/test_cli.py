@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edesolver import cli, systems
+from edesolver import cli, companion, systems
 from edesolver.fsa import Automaton
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
+TEST_SPECS = pathlib.Path(__file__).resolve().parent / "specs"
 
 THETA_EQ = str(SPECS / "theta_n_plus_theta.json")
 ZERO_EQ = str(SPECS / "zero_eq.json")
@@ -274,6 +275,26 @@ def test_reducible_companion(tmp_path, capsys):
     assert code == 2
     assert "ring.companion" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(COMPANION3, id="one-equation"),
+    pytest.param(str(TEST_SPECS / "companion_system_t2.json"), id="two-equations"),
+])
+def test_build_computes_the_conjugator_once(monkeypatch, capsys, path):
+    # parsing checks C' for singularity and the equations of the build reuse it
+    calls = []
+    conjugator = companion.conjugator
+
+    def counted(spec):
+        calls.append(spec)
+        return conjugator(spec)
+
+    monkeypatch.setattr(companion, "conjugator", counted)
+    monkeypatch.setattr(cli, "conjugator", counted, raising=False)
+    code, _, _ = run(capsys, "build", path)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_companion_ring_must_be_an_object(tmp_path, capsys):

@@ -31,6 +31,9 @@ SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 # n = 2 companion over F_2, t = 2, two equations with poly_coeff: a system
 # shape no bundled spec has
 COMPANION_SYSTEM_T2 = pathlib.Path(__file__).resolve().parent / "specs" / "companion_system_t2.json"
+# (theta + xi)^n1 + 2 (theta^3 + xi^3)^n2 = 0 over the n = 2 companion ring
+# of xi^2 = xi + theta over F_3: solved exactly by n1 = 3 n2
+RELATION_P3_N2 = pathlib.Path(__file__).resolve().parent / "specs" / "relation_p3_n2.json"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -383,6 +386,21 @@ def test_companion_system_t2_build_is_pinned():
     with contextlib.redirect_stdout(out):
         assert cli.main(["build", str(COMPANION_SYSTEM_T2)]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == COMPANION_SYSTEM_T2_DIGEST
+
+
+# SHA-256 of `edesolver build` on RELATION_P3_N2 (exit status 0)
+RELATION_P3_N2_DIGEST = "58b5c7c779ac24d4d718bc95f09ceb897228dc5dae2c1b3331ed9553ab06a8ee"
+
+
+def test_relation_p3_n2_build_is_pinned():
+    # a p = 3 companion spec whose language is not empty: 982 raw states
+    sys_spec = cli.load_spec(str(RELATION_P3_N2))
+    raw = solve_system(sys_spec)
+    aut = raw.minimize()
+    assert (raw.num_states, aut.num_states) == (982, 4)
+    assert hashlib.sha256(aut.to_json().encode()).hexdigest() == RELATION_P3_N2_DIGEST
+    for n1, n2 in itertools.product(range(28), repeat=2):
+        assert aut.accepts(DigitWord.encode((n1, n2), 3, 2)) == (n1 == 3 * n2), (n1, n2)
 
 
 def test_all_zero_starts_explore_only_the_zero_space():
