@@ -34,7 +34,7 @@ import sys
 
 from . import fsa, oracle, systems
 from .companion import CompanionSpec
-from .digits import DigitWord, alphabet, count_words
+from .digits import MAX_LETTERS, DigitWord, alphabet, count_words
 from .errors import CapacityError, SingularConjugatorError, SpecFileError, StructureError
 from .gfpoly import Poly, PrimeField, parse_int, parse_poly
 from .systems import Summand, SystemSpec
@@ -82,6 +82,8 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
     for key, val in (("r", r), ("t", t)):
         if val < 1:
             _fail(f"{origin}.{key}", f"expected a positive integer, got {val}")
+    if p > MAX_LETTERS:  # before the primality test, which trial-divides
+        raise CapacityError(f"{origin}.p: p = {p} gives at least p letters, over the letter cap of {MAX_LETTERS}")
     try:
         field = PrimeField(p)
     except StructureError as exc:

@@ -18,13 +18,14 @@ from .errors import AlphabetError, CapacityError, StructureError
 DEFAULT_STATE_CAP = 200_000
 
 
-def explore_dfa(letters, initial_key, delta, state_cap: int = DEFAULT_STATE_CAP):
+def explore_dfa(initial_key, successors, state_cap: int = DEFAULT_STATE_CAP):
     """Generic reachable-state closure.
 
-    ``delta(key, letter)`` must be a pure function on hashable state keys.
-    Returns (keys, transitions) with keys[0] == initial_key and transitions
-    a list of per-state lists aligned with ``letters``.  A ``state_cap``
-    below 1 is a StructureError: it admits not even the initial state.
+    ``successors(key)`` must be a pure function on hashable state keys that
+    returns the next keys in alphabet order.  Returns (keys, transitions)
+    with keys[0] == initial_key and transitions a list of per-state lists,
+    entry j the state reached by letter j.  A ``state_cap`` below 1 is a
+    StructureError: it admits not even the initial state.
     """
     if state_cap < 1:
         raise StructureError(f"state cap must be at least 1, got {state_cap}")
@@ -35,8 +36,7 @@ def explore_dfa(letters, initial_key, delta, state_cap: int = DEFAULT_STATE_CAP)
     while queue:
         key = queue.popleft()
         row = []
-        for letter in letters:
-            nxt = delta(key, letter)
+        for nxt in successors(key):
             j = index.get(nxt)
             if j is None:
                 if len(keys) >= state_cap:
@@ -118,12 +118,11 @@ class Automaton:
     def _product(self, other: "Automaton", combine) -> "Automaton":
         self._check_same_alphabet(other)
 
-        def delta(pair, letter):
+        def successors(pair):
             a, b = pair
-            i = self._letter_index[letter]
-            return (self.transitions[a][i], other.transitions[b][i])
+            return zip(self.transitions[a], other.transitions[b])
 
-        keys, trans = explore_dfa(self.letters, (self.initial, other.initial), delta)
+        keys, trans = explore_dfa((self.initial, other.initial), successors)
         finals = {
             i
             for i, (a, b) in enumerate(keys)
@@ -207,10 +206,10 @@ class Automaton:
             reps.setdefault(block[q], q)
             members.setdefault(block[q], []).append(q)
 
-        def delta(b, letter):
-            return block[self.transitions[reps[b]][self._letter_index[letter]]]
+        def successors(b):
+            return [block[q] for q in self.transitions[reps[b]]]
 
-        keys, trans = explore_dfa(self.letters, block[self.initial], delta)
+        keys, trans = explore_dfa(block[self.initial], successors)
         finals = set()
         labels = []
         for i, b in enumerate(keys):

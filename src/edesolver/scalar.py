@@ -43,8 +43,8 @@ maps for several equations side by side, as :mod:`systems` needs, and
 single equation is the case of one.  The language is the same and the
 reachable spans are far fewer than the reachable sets.
 :func:`build_automaton` and :func:`explore` make the same one call to the
-engine: the first keeps its finals, the second decodes its spans back into
-residue tuples, to which the set predicates apply as-is.
+engine: the first keeps its finals, and only the second decodes the spans
+back into residue tuples, to which the set predicates apply as-is.
 """
 
 from __future__ import annotations
@@ -143,7 +143,8 @@ def degree_bound(ede) -> tuple:
     (p-1)*t*M + deg C' before the section divides by p.
     N0 = ceil((p*t*M + deg C')/(p-1)) dominates the fixed point; N1
     additionally covers the starting degrees, so every reachable state
-    stays within N1.
+    stays within N1.  The span engine takes N0 and widens it to the start
+    rows' degrees itself.
     """
     p = ede.field.p
     big_m = max_degree(f for row in ede.bases for f in row)
@@ -273,7 +274,7 @@ def _span(ede, state_cap: int) -> tuple:
     """(finals, transitions, bases) of the span exploration of one equation."""
     groups, moves = span_layout([ede])
     return span.explore(
-        ede.field, ede.r, degree_bound(ede)[1], span_starts([ede], [ede.q]), moves, state_cap, groups
+        ede.field, ede.r, degree_bound(ede)[0], span_starts([ede], [ede.q]), moves, state_cap, groups
     )
 
 

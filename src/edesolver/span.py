@@ -17,10 +17,13 @@ Coordinates.  A residue tuple flattens to E entry polynomials (s for a
 scalar ring, s*n^2 for a companion ring).  A coordinate is a pair (entry,
 monomial); the coordinates tracked are those the step's support map
 reaches from the supports of the start rows, which every reachable span
-lives in.  They lie in the box of total degree <= N, the degree bound,
-which the step maps into itself, so a coordinate outside it is a bug and
-raises.  One breadth-first pass finds them and, as it reaches each one,
-emits the cells of its row of the step maps below.
+lives in.  They lie in the box of total degree <= N, the caller's degree
+bound N0, which the step maps into itself, widened to the degrees of the
+start rows, so a coordinate outside it is a bug and raises.  One queue,
+grown as new coordinates are reached, finds them and emits the cells of
+each one's row of the step maps below.  The cell cap is checked on the
+start coordinates and at every new one, so a spec over it is refused
+before the cells pile up.
 
 Step maps.  The caller gives the multipliers of every digit letter x,
 keyed by x in alphabet order, and the engine reads its alphabet from
@@ -36,7 +39,9 @@ equations side by side (``scalar.span_layout``; one equation is the case
 of one), so its step maps are block-diagonal and one
 exploration decides all equations at once.  Its start depends on the
 first letter: a pre-initial state (key None) sends letter d to the span of
-the start rows for d, one row per equation.
+the start rows for d, one row per equation.  It accepts when the zero
+letter's span does: by zero padding, the empty word and the word of one
+zero letter spell the same tuple.
 
 Acceptance.  Every caller gives entry groups, one per equation and matrix
 entry: a row accepts when, within every group, the entries sum to zero
@@ -45,7 +50,9 @@ matrix A summing each group's entries at each monomial.
 
 States.  A state is the reduced row-echelon basis of its span; the
 successor under x is the echelon form of the stacked images of the basis
-rows.  The echelon form is canonical, so equal spans get equal keys.
+rows.  The echelon form is canonical, so equal spans get equal keys.  The
+exploration (``fsa.explore_dfa``) asks for all successors of a state at
+once, so its key is read back to rows once for every letter.
 
 Rows.  A row is one Python int: coordinate j holds the b-bit field at
 bits b * (width - 1 - j), so the top field is column 0 and the leading
@@ -64,12 +71,12 @@ to 2000 per length) that only a full collection empties, and tuple keys
 raised the peak memory of a matrix-suite benchmark run by about 1.7 MB
 (5 %).  A row accepts when, for every column of A, its fields under the
 column's mask sum to zero mod p: over F_2 a parity, for odd p one product
-that gathers the fields into the top one.
+that gathers the fields into the top one.  :func:`_kernels` picks the
+kernels of each prime, this test among them.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 
 from . import fsa
@@ -86,35 +93,22 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
 
     ``coords`` lists, sorted, the (entry, exponent vector) pairs reachable
     from the start rows' supports, and ``index`` maps each to its position.
-    The breadth-first pass that finds them emits the cells of each one as it
-    reaches it: (letter, row, column, coefficient), row i a coordinate and
-    column y * width + j the coordinate j of section letter y.  A cell may
-    repeat: its coefficients add up.  Raises CapacityError once the step
-    maps of the coordinates seen, letters * p^r * width^2 cells, would
-    pass MAX_STEP_CELLS.
+    One queue, seeded with the start coordinates and grown as new ones are
+    reached, finds them and emits the cells of each coordinate it takes:
+    (letter, row, column, coefficient), row i a coordinate and column
+    y * width + j the coordinate j of section letter y.  A cell may repeat:
+    its coefficients add up.  The degree box is widened to the degrees of
+    the start rows.  Raises CapacityError once the step maps of the
+    coordinates seen, letters * p^r * width^2 cells, would pass
+    MAX_STEP_CELLS: checked on the start coordinates and at each new one.
     """
     out_of = {}  # source entry -> (letter, target entry, multiplier)
     for l, triples in enumerate(moves.values()):
         for a, b, f in triples:
             out_of.setdefault(a, []).append((l, b, f))
     weights = [p ** (r - 1 - k) for k in range(r)]
-    seen = {(j, e) for row in rows for j, f in enumerate(row) for e in f.terms}
-    frontier = list(seen)
-    found = []  # (letter, source, section letter, target, coefficient)
-    while frontier:
-        grown = []
-        for a, e in frontier:
-            if sum(e) > bound:
-                raise RuntimeError(f"coordinate {e} leaves the degree box of bound {bound}")
-            for l, b, f in out_of.get(a, ()):
-                for u, c in f.terms.items():
-                    total = [ei + ui for ei, ui in zip(e, u)]
-                    target = (b, tuple(v // p for v in total))
-                    found.append((l, (a, e), sum(w * (v % p) for w, v in zip(weights, total)), target, c))
-                    if target not in seen:
-                        seen.add(target)
-                        grown.append(target)
-        width = len(seen)
+
+    def check(width):
         cells = len(moves) * p**r * width * width
         if cells > MAX_STEP_CELLS:
             raise CapacityError(
@@ -122,7 +116,24 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
                 f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
                 discovered=width,
             )
-        frontier = grown
+
+    seen = {(j, e) for row in rows for j, f in enumerate(row) for e in f.terms}
+    check(len(seen))
+    bound = max([bound, *(sum(e) for _, e in seen)])
+    queue = list(seen)
+    found = []  # (letter, source, section letter, target, coefficient)
+    for a, e in queue:  # the loop walks the queue as it grows
+        if sum(e) > bound:
+            raise RuntimeError(f"coordinate {e} leaves the degree box of bound {bound}")
+        for l, b, f in out_of.get(a, ()):
+            for u, c in f.terms.items():
+                total = [ei + ui for ei, ui in zip(e, u)]
+                target = (b, tuple(v // p for v in total))
+                found.append((l, (a, e), sum(w * (v % p) for w, v in zip(weights, total)), target, c))
+                if target not in seen:
+                    seen.add(target)
+                    check(len(seen))
+                    queue.append(target)
     coords = sorted(seen)
     index = {c: i for i, c in enumerate(coords)}
     width = len(coords)
@@ -297,25 +308,35 @@ def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> int:
     return key
 
 
+def _parity_accepts(rows, masks) -> bool:
+    """Over F_2: every row has even parity under every column mask of A."""
+    return not any((row & mask).bit_count() & 1 for row in rows for mask in masks)
+
+
+def _sum_accepts(p: int, b: int, ones: int, rows, masks) -> bool:
+    """Over odd p: times ``ones``, 1 in every field, a masked row's top field sums its fields."""
+    top, field_mask = ones.bit_length() - 1, (1 << b) - 1
+    return not any(((row & mask) * ones >> top & field_mask) % p for row in rows for mask in masks)
+
+
 def _kernels(p: int, width: int, sections: int) -> tuple:
-    """(b, step_maps, image, echelon) for packed rows of ``width`` coordinates over F_p.
+    """(b, step_maps, image, echelon, accepts) for packed rows of ``width`` coordinates over F_p.
 
     ``step_maps(cells, num_letters)`` packs the L_x of :func:`_setup`'s
     cells, ``image(row, step_map)`` is the packed image of a row, section
-    letter y in lane sections - 1 - y of width*b bits, and
-    ``echelon(rows)`` is the key of the span of packed rows.  F_2 takes the
-    XOR kernels, with b = 1.
+    letter y in lane sections - 1 - y of width*b bits, ``echelon(rows)`` is
+    the key of the span of packed rows, and ``accepts(rows, masks)`` whether
+    the rows lie in the kernel of A, given the fields of each column of A.
+    F_2 takes the XOR kernels and the parity test, with b = 1.
     """
     b = _field_bits(p, width)
     step_maps = functools.partial(_step_maps, p, b, width, sections)
     if p == 2:
-        return b, step_maps, _image, functools.partial(_xor_echelon, width)
-    return (
-        b,
-        step_maps,
-        functools.partial(_mod_image, p, b, _reducer(p, b, sections * width)),
-        functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width),
-    )
+        return b, step_maps, _image, functools.partial(_xor_echelon, width), _parity_accepts
+    image = functools.partial(_mod_image, p, b, _reducer(p, b, sections * width))
+    echelon = functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width)
+    ones = ((1 << width * b) - 1) // ((1 << b) - 1)
+    return b, step_maps, image, echelon, functools.partial(_sum_accepts, p, b, ones)
 
 
 def _unpack(key: int, lane: int) -> list:
@@ -328,8 +349,9 @@ def _unpack(key: int, lane: int) -> list:
 def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     """Reachable span states; returns (finals, transitions, bases).
 
-    A start row is a flattened tuple of E entry polynomials in r variables,
-    of total degree <= ``bound``.  ``starts`` lists the start rows whose
+    A start row is a flattened tuple of E entry polynomials in r variables.
+    ``bound`` is the degree N0 the step maps into itself; the box is widened
+    to the degrees of the start rows.  ``starts`` lists the start rows whose
     span is the initial state, or maps every letter to such a list: then
     state 0 is a pre-initial state (key None) whose successor under letter
     d is the span of ``starts[d]``.  The keys of ``moves`` are the letters,
@@ -338,12 +360,12 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     letter y is the sum over its triples (a, b, f) of section(entry a * f, y).
     ``accept`` maps each entry to its acceptance group.
 
-    ``finals`` holds the states whose rows sum to zero within every group
-    (the pre-initial state is never among them: the empty word is the
-    caller's to decide).  ``bases`` lazily yields the echelon basis of each
-    state, each row decoded back to a tuple of E polynomials, so only one
-    state's decoded rows are alive at a time (None for the pre-initial
-    state).
+    ``finals`` holds the states whose rows sum to zero within every group.
+    The pre-initial state takes the verdict of the zero letter's span: by
+    zero padding, the empty word and the word of one zero letter spell the
+    same tuple.  ``bases`` lazily yields the echelon basis of each state,
+    each row decoded back to a tuple of E polynomials, so only one state's
+    decoded rows are alive at a time (None for the pre-initial state).
     """
     p = field.p
     letters = tuple(moves)
@@ -353,15 +375,16 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
         [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
     )
     width = len(coords)
-
-    cols = {}  # column k of A sums one acceptance group at one monomial
-    column_of = [cols.setdefault((accept[j], e), len(cols)) for j, e in coords]
-
-    b, step_maps, image, echelon = _kernels(p, width, sections)
-    maps = dict(zip(letters, step_maps(cells, len(letters))))
+    b, step_maps, image, echelon, accepts = _kernels(p, width, sections)
+    maps = step_maps(cells, len(letters))
     lane = width * b  # the bits of one row
     shifts = [lane * (sections - 1 - y) for y in range(sections)]
     field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
+
+    columns = {}  # column (group, monomial) of A -> the fields it sums
+    for i, (j, e) in enumerate(coords):
+        columns[accept[j], e] = columns.get((accept[j], e), 0) | field_mask << b * (width - 1 - i)
+    masks = list(columns.values())
 
     def pack(row):  # a start row: each coefficient in its coordinate's field
         return sum(c << b * (width - 1 - index[j, e]) for j, f in enumerate(row) for e, c in f.terms.items())
@@ -369,54 +392,28 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     def span_of(start_rows):
         return echelon([pack(row) for row in start_rows])
 
-    @functools.lru_cache(maxsize=1)
-    def rows_of(key):  # explore_dfa steps one key by every letter in a row
-        return _unpack(key, lane)
-
-    def step(key, x):
-        step_map = maps[x]
-        images = [image(row, step_map) for row in rows_of(key)]
+    def step(rows, step_map):
+        images = [image(row, step_map) for row in rows]
         return echelon([im >> shift & row_mask for im in images for shift in shifts])
 
-    def basis(key):
-        return [[row >> b * (width - 1 - j) & field_mask for j in range(width)] for row in _unpack(key, lane)]
-
-    masks = [0] * len(cols)  # the fields of each column of A
-    for i, k in enumerate(column_of):
-        masks[k] |= field_mask << b * (width - 1 - i)
-
-    if p == 2:
-
-        def accepting(key):
-            return not any((row & mask).bit_count() & 1 for row in _unpack(key, lane) for mask in masks)
-    else:
-        ones, top = row_mask // field_mask, b * (width - 1)
-
-        def accepting(key):  # times ones, the top field sums the fields under the mask
-            rows = _unpack(key, lane)
-            return not any(((row & mask) * ones >> top & field_mask) % p for row in rows for mask in masks)
-
-    def delta(key, x):
-        return first[x] if key is None else step(key, x)
-
-    first = {d: span_of(starts[d]) for d in letters} if dispatch else None
-    initial = None if dispatch else span_of(starts)
-    keys, transitions = fsa.explore_dfa(letters, initial, delta, state_cap)
-    finals = {i for i, key in enumerate(keys) if key is not None and accepting(key)}
-
-    # coords are sorted by entry, so each entry owns one slice of a row
-    ends = [bisect.bisect_left(coords, (j,)) for j in range(len(accept) + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
-    polys = {}  # states share entries: one Poly per distinct coefficient vector
-
-    def poly(entry, seg):
-        key = (entry, tuple(seg))
-        if key not in polys:
-            monomials = coords[slices[entry]]
-            polys[key] = Poly._raw(field, r, {e: c for (_, e), c in zip(monomials, seg) if c})
-        return polys[key]
+    def successors(key):  # the key is read back once for every letter
+        if key is None:
+            return first
+        rows = _unpack(key, lane)
+        return [step(rows, step_map) for step_map in maps]
 
     def decode(key):
-        return [tuple(poly(j, row[sl]) for j, sl in enumerate(slices)) for row in basis(key)]
+        out = []
+        for row in _unpack(key, lane):
+            terms = [{} for _ in accept]
+            for i, (j, e) in enumerate(coords):
+                c = row >> b * (width - 1 - i) & field_mask
+                if c:
+                    terms[j][e] = c
+            out.append(tuple(Poly._raw(field, r, t) for t in terms))
+        return out
 
+    first = [span_of(starts[d]) for d in letters] if dispatch else None
+    keys, transitions = fsa.explore_dfa(None if dispatch else span_of(starts), successors, state_cap)
+    finals = {i for i, key in enumerate(keys) if accepts(_unpack(first[0] if key is None else key, lane), masks)}
     return finals, transitions, (None if key is None else decode(key) for key in keys)

@@ -20,8 +20,11 @@ It lays the flattened entries of all equations side by side
 one span exploration (:mod:`span`) for the whole system: a pre-initial
 state reads the last digit d and moves to the span of the start rows for
 d (``scalar.span_starts``), one row per equation; a span accepts when
-every equation's residues cancel.  The empty word, the zero tuple,
-accepts when the start coefficients of the zero prefix d = 0 cancel.
+every equation's residues cancel.  The engine also decides the empty
+word: it spells the zero tuple, as the word of one zero letter does, so
+the pre-initial state takes that letter's verdict (:func:`solves_at_zero`
+computes it from the summands, as a reference).  The engine widens the
+degree bound N0 of the equations to the degrees of the start rows itself.
 :func:`peel_equation` and :func:`peel_last_digits` give the peeled
 equations themselves.
 """
@@ -189,8 +192,8 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     """Automaton deciding the whole system, from one span exploration.
 
     State 0 is the pre-initial state: it accepts the empty word exactly when
-    the zero tuple solves every equation.  ``state_cap`` bounds the joint
-    exploration.
+    the zero tuple solves every equation, which the engine reads off the
+    zero letter's span.  ``state_cap`` bounds the joint exploration.
     """
     letters = digits.alphabet(sys.field.p, sys.t)
     summands = [sys.ring_summands(eq) for eq in sys.equations]
@@ -200,9 +203,6 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     groups, moves = scalar.span_layout(edes)
     starts = {x: scalar.span_starts(edes, qs[x]) for x in letters}
     n0 = max(scalar.degree_bound(ede)[0] for ede in edes)
-    bound = max(n0, scalar.max_degree(f for q in qs.values() for elems in q for f in elems))
-    finals, transitions, _ = span.explore(sys.field, sys.r, bound, starts, moves, state_cap, groups)
-    if all(scalar.is_accepting_residues(q) for q in qs[letters[0]]):  # the zero prefix
-        finals.add(0)
+    finals, transitions, _ = span.explore(sys.field, sys.r, n0, starts, moves, state_cap, groups)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]
     return fsa.Automaton(sys.field.p, sys.t, labels, transitions, 0, finals)

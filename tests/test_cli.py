@@ -263,6 +263,15 @@ def test_non_prime_modulus(tmp_path, capsys):
     assert ".p" in err
 
 
+def test_huge_prime_exits_before_the_primality_test(capsys, monkeypatch):
+    # p = 2^61 - 1 is prime, and its trial division runs for over 20 s: any
+    # p past the letter cap is refused before the field is made
+    monkeypatch.setattr(cli, "PrimeField", None)
+    code, out, err = run(capsys, "build", str(TEST_SPECS / "huge_prime.json"))
+    assert (code, out) == (3, "")
+    assert "huge_prime.json.p" in err and "letter cap of 4096" in err
+
+
 def test_reducible_companion(tmp_path, capsys):
     # xi^2 = 1 over F_2 is (xi + 1)^2: the conjugator is singular
     bad = tmp_path / "bad.json"

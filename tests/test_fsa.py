@@ -93,12 +93,12 @@ def test_validation():
 
 def test_explore_dfa_cap():
     with pytest.raises(CapacityError) as exc:
-        explore_dfa([(0,), (1,)], 0, lambda k, l: k + (1 if l == (1,) else 0), state_cap=10)
+        explore_dfa(0, lambda k: [k, k + 1], state_cap=10)
     assert exc.value.discovered == 10
     assert DEFAULT_STATE_CAP >= 10_000
     for cap in (0, -3):
         with pytest.raises(StructureError, match="at least 1"):
-            explore_dfa([(0,), (1,)], 0, lambda k, l: k, state_cap=cap)
+            explore_dfa(0, lambda k: [k, k], state_cap=cap)
 
 
 # ----------------------------------------------------------------- products

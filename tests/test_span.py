@@ -20,7 +20,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import suites
-from edesolver import cli, companion, fsa, scalar, span
+from edesolver import cli, companion, fsa, scalar, span, systems
 from edesolver.errors import CapacityError
 from edesolver.gfpoly import Poly, PrimeField
 from edesolver.scalar import ScalarEde
@@ -56,7 +56,7 @@ def set_automaton(engine, ede, limits=(math.inf, math.inf)) -> fsa.Automaton:
         return frozenset(out)
 
     keys, transitions = fsa.explore_dfa(
-        ede.exponent_alphabet, engine.initial_state(ede), delta
+        engine.initial_state(ede), lambda state: [delta(state, x) for x in ede.exponent_alphabet]
     )
     finals = {i for i, key in enumerate(keys) if engine.is_accepting_state(key)}
     labels = [str(i) for i in range(len(keys))]
@@ -175,7 +175,7 @@ def fields(row: int, width: int, b: int) -> list:
 
 def echelon_rows(p: int, width: int, rows) -> list:
     """The packed echelon key of rows of coefficients, decoded back to rows."""
-    b, _, _, echelon = span._kernels(p, width, 1)
+    b, _, _, echelon, _ = span._kernels(p, width, 1)
     key = echelon([pack(row, b) for row in rows])
     return [fields(row, width, b) for row in span._unpack(key, width * b)]
 
@@ -247,7 +247,7 @@ def test_packed_step_images_equal_the_dense_products(data):
     coords, _, cells = span._setup(start, moves, p, r, 3 * r)
     width, sections = len(coords), p**r
     dense = _step_matrices(cells, width, p, r, len(letters))
-    b, step_maps, image, _ = span._kernels(p, width, sections)
+    b, step_maps, image, _, _ = span._kernels(p, width, sections)
     packed = step_maps(cells, len(letters))
     row = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
     for l in range(len(letters)):
@@ -272,6 +272,8 @@ def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
 
 
 # ---------------------------------------------------------------- guards
+
+TEST_SPECS = pathlib.Path(__file__).resolve().parent / "specs"
 
 F2 = PrimeField(2)
 THETA = Poly.variable(F2, 1, 0)
@@ -309,6 +311,17 @@ def test_step_matrix_cap_names_the_cells_needed():
         "2 coordinates reachable: their step maps need 2 letters x 2^50 sections x 2^2 "
         f"= {2 * 2**50 * 4} cells, over the cap of {span.MAX_STEP_CELLS}"
     )
+
+
+def test_step_matrix_cap_is_checked_on_the_start_coordinates():
+    # p = 191: the start rows of the 191 first letters already hold 573
+    # coordinates, whose step maps are far over the cap, so the set-up
+    # refuses before it emits a cell
+    spec = cli.load_spec(str(TEST_SPECS / "cap_p191.json"))
+    with pytest.raises(CapacityError) as exc:
+        systems.solve_system(spec)
+    assert exc.value.discovered == 573
+    assert str(exc.value).startswith("573 coordinates reachable: their step maps need 191 letters x 191^1")
 
 
 def test_high_degree_start_tracks_only_reachable_coordinates():

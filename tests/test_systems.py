@@ -1,6 +1,7 @@
 """Coefficient peeling and the one-exploration solver of whole systems."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import suites
-from edesolver import cli, companion, oracle, scalar
+from edesolver import cli, companion, fsa, oracle, scalar
 from edesolver.companion import MatrixEde, PolyMatrix, companion_matrix
 from edesolver.digits import DigitWord, alphabet
 from edesolver.errors import StructureError
@@ -34,6 +35,9 @@ COMPANION_SYSTEM_T2 = pathlib.Path(__file__).resolve().parent / "specs" / "compa
 # (theta + xi)^n1 + 2 (theta^3 + xi^3)^n2 = 0 over the n = 2 companion ring
 # of xi^2 = xi + theta over F_3: solved exactly by n1 = 3 n2
 RELATION_P3_N2 = pathlib.Path(__file__).resolve().parent / "specs" / "relation_p3_n2.json"
+# (theta + xi)^n1 + (theta^2 + xi^2)^n2 = 0 over the n = 4 companion ring of
+# xi^4 = xi + theta over F_2: solved exactly by n1 = 2 n2
+RELATION_N4 = pathlib.Path(__file__).resolve().parent / "specs" / "relation_n4.json"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -403,6 +407,21 @@ def test_relation_p3_n2_build_is_pinned():
         assert aut.accepts(DigitWord.encode((n1, n2), 3, 2)) == (n1 == 3 * n2), (n1, n2)
 
 
+# SHA-256 of `edesolver build` on RELATION_N4 (exit status 0)
+RELATION_N4_DIGEST = "9dfca5d0433af8b10001458ddacd5935e0773705657332a53067d4dfcbed4076"
+
+
+def test_relation_n4_build_is_pinned():
+    # a p = 2 companion spec of order 4 whose language is not empty
+    sys_spec = cli.load_spec(str(RELATION_N4))
+    raw = solve_system(sys_spec)
+    aut = raw.minimize()
+    assert (raw.num_states, aut.num_states) == (13845, 3)
+    assert hashlib.sha256(aut.to_json().encode()).hexdigest() == RELATION_N4_DIGEST
+    for n1, n2 in itertools.product(range(32), repeat=2):
+        assert aut.accepts(DigitWord.encode((n1, n2), 2, 2)) == (n1 == 2 * n2), (n1, n2)
+
+
 def test_all_zero_starts_explore_only_the_zero_space():
     # every peeled start is zero, so the span has no coordinates at all:
     # the pre-initial state and the zero space, which accepts
@@ -410,6 +429,74 @@ def test_all_zero_starts_explore_only_the_zero_space():
         aut = solve_system(sys_spec)
         assert aut.num_states == 2
         assert aut.finals == {0, 1}
+
+
+# -------------------------------------------------------- metamorphic checks
+#
+# Each check compares two minimal automata, which minimize() numbers
+# canonically, so it covers every word length without the oracle.  It runs
+# on the t = 2 scalar suite instances and on two t = 2 companion specs.
+
+T2_SPECS = (RELATION_P3_N2, COMPANION_SYSTEM_T2)
+
+
+def signature(aut):
+    return aut.transitions, aut.finals, aut.initial
+
+
+def swap_digits(aut):
+    """``aut`` reading every letter of two digits with the digits swapped."""
+    index = {x: j for j, x in enumerate(aut.letters)}
+    transitions = [[row[index[x[::-1]]] for x in aut.letters] for row in aut.transitions]
+    return fsa.Automaton(aut.p, aut.t, aut.labels, transitions, aut.initial, aut.finals)
+
+
+def swap_unknowns(sys_spec):
+    """The system with its two unknowns swapped, in the bases and in the coefficients."""
+
+    def coeff(c):
+        return None if c is None else Poly(c.field, c.num_vars, {e[::-1]: v for e, v in c.terms.items()})
+
+    equations = tuple(tuple(Summand(coeff(sm.coeff), sm.q, sm.bases[::-1]) for sm in eq) for eq in sys_spec.equations)
+    return dataclasses.replace(sys_spec, equations=equations)
+
+
+def times_theta(sys_spec):
+    """The system with every Q multiplied by theta, which is no zero divisor in either ring."""
+    theta = Poly.variable(sys_spec.field, sys_spec.r, 0)
+
+    def q(elem):
+        return elem * theta if sys_spec.companion is None else tuple(c * theta for c in elem)
+
+    equations = tuple(tuple(Summand(sm.coeff, q(sm.q), sm.bases) for sm in eq) for eq in sys_spec.equations)
+    return dataclasses.replace(sys_spec, equations=equations)
+
+
+def t2_suite():
+    return [ede for ede in suites.scalar_suite() if ede.t == 2]
+
+
+def test_swapping_the_unknowns_swaps_the_digits():
+    for ede in t2_suite():
+        swapped = dataclasses.replace(ede, bases=tuple(row[::-1] for row in ede.bases))
+        want = signature(swap_digits(scalar.build_automaton(ede)).minimize())
+        assert signature(scalar.build_automaton(swapped).minimize()) == want, ede
+    for path in T2_SPECS:
+        sys_spec = cli.load_spec(str(path))
+        want = signature(swap_digits(solve_system(sys_spec)).minimize())
+        assert signature(solve_system(swap_unknowns(sys_spec)).minimize()) == want, path
+
+
+def test_multiplying_every_q_by_theta_keeps_the_language():
+    for ede in t2_suite():
+        theta = Poly.variable(ede.field, ede.r, 0)
+        scaled = dataclasses.replace(ede, q=tuple(q * theta for q in ede.q))
+        want = signature(scalar.build_automaton(ede).minimize())
+        assert signature(scalar.build_automaton(scaled).minimize()) == want, ede
+    for path in T2_SPECS:
+        sys_spec = cli.load_spec(str(path))
+        want = signature(solve_system(sys_spec).minimize())
+        assert signature(solve_system(times_theta(sys_spec)).minimize()) == want, path
 
 
 @st.composite
