@@ -31,6 +31,12 @@ odometer over the other letters moves the whole cube, in passes of at most
 permutation.  The automaton runs in level order (length l+1 is length l
 extended by every letter), so a level's states are one array, and word
 objects are built only for mismatches.
+
+Only this layer needs numpy, so ``np`` is bound lazily: the ``build``,
+``check``, ``enum`` and ``solvable`` commands and ``import edesolver`` never
+reach the oracle, and importing numpy cost them about half their start-up
+time.  The first attribute read of ``np`` imports numpy and rebinds ``np``
+to it, so every later use is a plain global lookup.
 """
 
 from __future__ import annotations
@@ -38,8 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from . import fsa
 from .companion import MatrixEde
@@ -54,6 +58,20 @@ DEFAULT_WORD_CAP = 500_000
 # one pass of the word sweep, and in the cube it is cut from unless that cube
 # is the smallest: bigger passes save little time and cost memory.
 BATCH_CELLS = 1 << 15
+
+
+class _Numpy:
+    """Stands in for numpy until its first use, then rebinds ``np`` to numpy itself."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 def _equations(spec) -> list:

@@ -52,7 +52,9 @@ States.  A state is the reduced row-echelon basis of its span; the
 successor under x is the echelon form of the stacked images of the basis
 rows.  The echelon form is canonical, so equal spans get equal keys.  The
 exploration (``fsa.explore_dfa``) asks for all successors of a state at
-once, so its key is read back to rows once for every letter.
+once, so its key is read back to rows once for every letter.  An image
+is cut into its p^r section lanes by one shift each, after halving an
+image of more than DIRECT_LANES lanes into pieces of at most that many.
 
 Rows.  A row is one Python int: coordinate j holds the b-bit field at
 bits b * (width - 1 - j), so the top field is column 0 and the leading
@@ -86,6 +88,9 @@ from .gfpoly import Poly
 # Largest number of step-matrix cells (over all letters) one build may hold:
 # the packed maps take width ints of p^r * width fields per letter.
 MAX_STEP_CELLS = 1 << 24
+# Most section lanes cut out of one piece of an image by a shift each (an
+# image with more is halved first, see explore).
+DIRECT_LANES = 16
 
 
 def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
@@ -378,7 +383,15 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     b, step_maps, image, echelon, accepts = _kernels(p, width, sections)
     maps = step_maps(cells, len(letters))
     lane = width * b  # the bits of one row
-    shifts = [lane * (sections - 1 - y) for y in range(sections)]
+    # Each shift reads a whole image, so one shift per lane is quadratic in
+    # p^r.  An image is halved, k times, into 2^k pieces of at most
+    # DIRECT_LANES lanes, and each lane is then one shift of its piece (no
+    # halving at p^r <= DIRECT_LANES).  The top piece is padded with zero
+    # lanes, which give zero rows, and the echelon form drops those.
+    halvings = (-(-sections // DIRECT_LANES) - 1).bit_length()
+    size = -(-sections >> halvings)  # lanes per piece
+    splits = [(lane * size << k, (1 << (lane * size << k)) - 1) for k in reversed(range(halvings))]
+    shifts = [lane * (size - 1 - y) for y in range(size)]
     field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
 
     columns = {}  # column (group, monomial) of A -> the fields it sums
@@ -392,9 +405,11 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     def span_of(start_rows):
         return echelon([pack(row) for row in start_rows])
 
-    def step(rows, step_map):
-        images = [image(row, step_map) for row in rows]
-        return echelon([im >> shift & row_mask for im in images for shift in shifts])
+    def step(rows, step_map):  # the images, cut into their section lanes
+        pieces = [image(row, step_map) for row in rows]
+        for bits, low in splits:
+            pieces = [half for piece in pieces for half in (piece >> bits, piece & low)]
+        return echelon([piece >> shift & row_mask for piece in pieces for shift in shifts])
 
     def successors(key):  # the key is read back once for every letter
         if key is None:

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -387,15 +390,93 @@ def test_huge_max_len_blows_the_word_cap(capsys, monkeypatch, command):
 # ------------------------------------------------------------------- module
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "edesolver", "solvable", THETA_EQ],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "yes"
+
+
+# Cold starts run in fresh interpreters: this test process has numpy loaded.
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def fresh(code: str, *argv) -> subprocess.CompletedProcess:
+    """``python -c code argv..`` in a new interpreter that imports ``src`` first."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_import_and_the_automaton_commands_leave_numpy_unloaded():
+    proc = fresh(
+        "import contextlib, io, json, sys\n"
+        "import edesolver\n"
+        "from edesolver import cli\n"
+        "seen = [('import', 'numpy' in sys.modules)]\n"
+        "for argv in (['build'], ['check', '--tuple', '4'], ['enum'], ['solvable']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main([argv[0], sys.argv[1], *argv[1:]])\n"
+        "    seen.append((argv[0], code, 'numpy' in sys.modules))\n"
+        "print(json.dumps(seen))\n",
+        EVEN_N,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        ["import", False], ["build", 0, False], ["check", 0, False], ["enum", 0, False], ["solvable", 0, False]
+    ]
+
+
+def test_verify_from_a_cold_start_loads_numpy_and_reports_as_before():
+    proc = fresh("import sys\nfrom edesolver import cli\nsys.exit(cli.main(['verify', sys.argv[1]]))", EVEN_N)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == '{\n  "max_len": 4,\n  "checked": 31,\n  "mismatches": []\n}\n'
+
+
+def test_oracle_helpers_work_before_any_compare():
+    # (1 + theta)^2 = 1 + theta^2 over F_2, and n * theta^n = 0 exactly at
+    # even n: the first half of the words of three letters, whose first
+    # letter (n mod 2) is slowest
+    proc = fresh(
+        "import sys\n"
+        "import numpy\n"
+        "from edesolver import cli, oracle\n"
+        "from edesolver.gfpoly import PrimeField, parse_poly\n"
+        "factor = oracle._factor(parse_poly('1:1 + 1:0', PrimeField(2), 1), 2)\n"
+        "before = oracle.np is numpy\n"
+        "square = oracle._times(numpy.ones((1, 1, 1, 2), numpy.int8), factor, 2)\n"
+        "print(before, oracle.np is numpy, square.reshape(-1).tolist())\n"
+        "print(oracle._solved(cli.load_spec(sys.argv[1]), 3).tolist())\n",
+        EVEN_N,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False True [1, 0, 1]", str([True] * 4 + [False] * 4)]
+
+
+def test_tracer_patches_the_oracle_before_numpy_is_loaded():
+    proc = fresh(
+        "import contextlib, io, sys\n"
+        "sys.path.insert(1, sys.argv[2])\n"
+        "import tracer\n"
+        "from edesolver import cli, oracle\n"
+        "t = tracer.Tracer()\n"
+        "t.install()\n"
+        "patched = oracle.__dict__['compare'].__wrapped__, oracle.__dict__['evaluate'].__wrapped__\n"
+        "t.enter(0, 'even_n', 'verify')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', sys.argv[1]])\n"
+        "oracle.evaluate(cli.load_spec(sys.argv[1]), (2,))\n"
+        "t.uninstall()\n"
+        "m = t.round_metrics(0)\n"
+        "print(code, m['oracle.words'], m['oracle.evaluate_calls'], patched == (oracle.compare, oracle.evaluate))\n",
+        EVEN_N, str(PERFBENCH),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "31", "1", "True"]
 
 
 # ------------------------------------------------------------------- parser

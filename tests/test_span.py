@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import suites
 from edesolver import cli, companion, fsa, scalar, span, systems
 from edesolver.errors import CapacityError
-from edesolver.gfpoly import Poly, PrimeField
+from edesolver.gfpoly import Poly, PrimeField, parse_poly
 from edesolver.scalar import ScalarEde
 
 
@@ -269,6 +269,25 @@ def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
             aut = scalar.build_automaton(ede)
             assert len(aut.letters) == ede.field.p**2
             assert len(reads) == 2 * aut.num_states
+
+
+@pytest.mark.parametrize("direct_lanes", [1, 2, 3, 16])
+def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
+    # p^r above DIRECT_LANES: each image is halved before its lanes are cut,
+    # and the top piece is padded with zero lanes, which must not change the
+    # raw automaton.  Relation specs P^n1 - (P^p)^n2 = 0, with n1 = p n2
+    # among their solutions, and the t = 2 suite instances at p^r = 9.
+    def relation(p, r, base):
+        field = PrimeField(p)
+        one, base = Poly.one(field, r), parse_poly(base, field, r)
+        return ScalarEde(field, r, 2, (one, one * (p - 1)), ((base, one), (one, base**p)))
+
+    edes = [relation(17, 1, "1:1 + 1:0"), relation(5, 2, "1:1,0 + 1:0,1 + 1:0,0")]
+    edes += [e for e in suites.scalar_suite() if e.field.p**e.r == 9 and e.t == 2]
+    monkeypatch.setattr(span, "DIRECT_LANES", 1 << 20)
+    direct = [signature(scalar.build_automaton(ede)) for ede in edes]
+    monkeypatch.setattr(span, "DIRECT_LANES", direct_lanes)
+    assert [signature(scalar.build_automaton(ede)) for ede in edes] == direct
 
 
 # ---------------------------------------------------------------- guards

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -497,6 +498,28 @@ def test_multiplying_every_q_by_theta_keeps_the_language():
         sys_spec = cli.load_spec(str(path))
         want = signature(solve_system(sys_spec).minimize())
         assert signature(solve_system(times_theta(sys_spec)).minimize()) == want, path
+
+
+def scalar_suite_pairs():
+    """Two-equation systems: each scalar suite instance with the next one of equal (p, r, t)."""
+    groups = {}
+    for ede in suites.scalar_suite():
+        equation = tuple(Summand(None, q, row) for q, row in zip(ede.q, ede.bases))
+        groups.setdefault((ede.field, ede.r, ede.t), []).append(equation)
+    return [
+        SystemSpec(field, r, t, None, pair)
+        for (field, r, t), equations in groups.items()
+        for pair in zip(equations, equations[1:])
+    ]
+
+
+def test_a_system_is_the_meet_of_its_equations():
+    # at every word length, where gate 5 reads words up to length 4
+    systems = [cli.load_spec(str(SPECS / "two_equations.json")), cli.load_spec(str(COMPANION_SYSTEM_T2))]
+    for sys_spec in systems + scalar_suite_pairs():
+        parts = [equation_language(sys_spec, eq) for eq in sys_spec.equations]
+        want = signature(functools.reduce(fsa.Automaton.intersect, parts).minimize())
+        assert signature(solve_system(sys_spec).minimize()) == want, sys_spec
 
 
 @st.composite
