@@ -51,6 +51,8 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if not isinstance(p, int):
+            raise StructureError(f"p must be an integer, got {p!r}")
         if not _is_prime(p):
             raise StructureError(f"{p} is not prime")
         self.p = p
@@ -86,8 +88,10 @@ class Poly:
                 raise StructureError(
                     f"exponent vector {exps} has length {len(exps)}, expected {num_vars}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(not isinstance(e, int) or e < 0 for e in exps):
                 raise StructureError(f"exponents must be naturals, got {exps}")
+            if not isinstance(coeff, int):
+                raise StructureError(f"coefficients must be integers, got {coeff!r}")
             c = coeff % p
             if c:
                 clean[exps] = (clean.get(exps, 0) + c) % p

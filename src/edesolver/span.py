@@ -20,10 +20,12 @@ reaches from the supports of the start rows, which every reachable span
 lives in.  They lie in the box of total degree <= N, the caller's degree
 bound N0, which the step maps into itself, widened to the degrees of the
 start rows, so a coordinate outside it is a bug and raises.  One queue,
-grown as new coordinates are reached, finds them and emits the cells of
-each one's row of the step maps below.  The cell cap is checked on the
-start coordinates and at every new one, so a spec over it is refused
-before the cells pile up.
+grown as new coordinates are reached, finds them and sums the terms of
+each one's row of the step maps below.  Coordinate i is the i-th the queue
+reaches, the start coordinates first: a state is its span, so any fixed
+order gives the same automaton.  The cell cap is checked on the start
+coordinates and at every new one, so a spec over it is refused before the
+terms pile up.
 
 Step maps.  The caller gives the multipliers of every digit letter x,
 keyed by x in alphabet order, and the engine reads its alphabet from
@@ -56,25 +58,26 @@ once, so its key is read back to rows once for every letter.  An image
 is cut into its p^r section lanes by one shift each, after halving an
 image of more than DIRECT_LANES lanes into pieces of at most that many.
 
-Rows.  A row is one Python int: coordinate j holds the b-bit field at
-bits b * (width - 1 - j), so the top field is column 0 and the leading
-column comes from ``bit_length``.  Over F_2 b = 1.  For odd p the top bit of
-every field is a guard, and b is chosen from p and the width so that every
-unreduced sum the kernels form fits below it (:func:`_field_bits`).  L_x is
-a list of width ints of p^r * width fields: the image of a row is the sum
-of its coefficients times the images of its coordinates, and section letter
-y owns one lane of width fields.  Over F_2 the sum and the elimination are
-XOR.  For odd p a row add is one integer add, and reducing mod p is a SWAR
-(SIMD within a register) ladder that subtracts p * 2^j from every field at
-or above it, largest j first (:func:`_reducer`).  The key is one int: the
-echelon rows in consecutive lanes of width * b bits.  It is not a tuple of
-row ints: CPython keeps freed tuples of each small length on freelists (up
-to 2000 per length) that only a full collection empties, and tuple keys
-raised the peak memory of a matrix-suite benchmark run by about 1.7 MB
-(5 %).  A row accepts when, for every column of A, its fields under the
-column's mask sum to zero mod p: over F_2 a parity, for odd p one product
-that gathers the fields into the top one.  :func:`_kernels` picks the
-kernels of each prime, this test among them.
+Rows.  A row is one Python int: coordinate i holds the b-bit field at
+bits b * i, so the leading column is the highest nonzero field and comes
+from ``bit_length``.  Over F_2 b = 1.  For odd p the top bit of every field
+is a guard, and b is chosen from p and the width so that every unreduced
+sum the kernels form fits below it (:func:`_field_bits`).  L_x is a list of
+width ints of p^r * width fields: the image of a row is the sum of its
+coefficients times the images of its coordinates, and section letter y owns
+lane y of width fields, so an image is only as wide as its highest nonzero
+lane.  Over F_2 the sum and the elimination are XOR.  For odd p a row add
+is one integer add, and reducing mod p is a SWAR (SIMD within a register)
+ladder that subtracts p * 2^j from every field at or above it, largest j
+first (:func:`_reducer`).  The key is one int: the echelon rows in
+consecutive lanes of width * b bits.  It is not a tuple of row ints:
+CPython keeps freed tuples of each small length on freelists (up to 2000
+per length) that only a full collection empties, and tuple keys raised the
+peak memory of a matrix-suite benchmark run by about 1.7 MB (5 %).  A row
+accepts when, for every column of A, its fields under the column's mask sum
+to zero mod p: over F_2 a parity, for odd p one product that gathers the
+fields into the top one.  :func:`_kernels` picks the kernels of each prime,
+this test among them.
 """
 
 from __future__ import annotations
@@ -94,18 +97,19 @@ DIRECT_LANES = 16
 
 
 def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
-    """(coords, index, cells): the coordinates and the terms of every L_x, in one pass.
+    """(coords, index, terms): the coordinates and the terms of every L_x, in one pass.
 
-    ``coords`` lists, sorted, the (entry, exponent vector) pairs reachable
-    from the start rows' supports, and ``index`` maps each to its position.
-    One queue, seeded with the start coordinates and grown as new ones are
-    reached, finds them and emits the cells of each coordinate it takes:
-    (letter, row, column, coefficient), row i a coordinate and column
-    y * width + j the coordinate j of section letter y.  A cell may repeat:
-    its coefficients add up.  The degree box is widened to the degrees of
-    the start rows.  Raises CapacityError once the step maps of the
-    coordinates seen, letters * p^r * width^2 cells, would pass
-    MAX_STEP_CELLS: checked on the start coordinates and at each new one.
+    ``coords`` lists the (entry, exponent vector) pairs reachable from the
+    start rows' supports, numbered in the order one queue first reaches
+    them, the start coordinates first in row order, and ``index`` maps each
+    to its number.  The queue grows as new coordinates are reached, and for
+    each coordinate i it takes, every multiplier term adds its coefficient
+    to ``terms[l][i, y, j]``: letter l sends coordinate i to that multiple
+    of coordinate j under section letter y.  The sums are not reduced mod p.
+    The degree box is widened to the degrees of the start rows.  Raises
+    CapacityError once the step maps of the coordinates numbered, letters *
+    p^r * width^2 cells, would pass MAX_STEP_CELLS: checked on the start
+    coordinates and at each new one.
     """
     out_of = {}  # source entry -> (letter, target entry, multiplier)
     for l, triples in enumerate(moves.values()):
@@ -122,27 +126,26 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
                 discovered=width,
             )
 
-    seen = {(j, e) for row in rows for j, f in enumerate(row) for e in f.terms}
-    check(len(seen))
-    bound = max([bound, *(sum(e) for _, e in seen)])
-    queue = list(seen)
-    found = []  # (letter, source, section letter, target, coefficient)
-    for a, e in queue:  # the loop walks the queue as it grows
+    coords = list(dict.fromkeys((j, e) for row in rows for j, f in enumerate(row) for e in f.terms))
+    index = {c: i for i, c in enumerate(coords)}
+    check(len(coords))
+    bound = max([bound, *(sum(e) for _, e in coords)])
+    terms = [{} for _ in moves]
+    for i, (a, e) in enumerate(coords):  # the loop walks the queue as it grows
         if sum(e) > bound:
             raise RuntimeError(f"coordinate {e} leaves the degree box of bound {bound}")
         for l, b, f in out_of.get(a, ()):
             for u, c in f.terms.items():
                 total = [ei + ui for ei, ui in zip(e, u)]
                 target = (b, tuple(v // p for v in total))
-                found.append((l, (a, e), sum(w * (v % p) for w, v in zip(weights, total)), target, c))
-                if target not in seen:
-                    seen.add(target)
-                    check(len(seen))
-                    queue.append(target)
-    coords = sorted(seen)
-    index = {c: i for i, c in enumerate(coords)}
-    width = len(coords)
-    return coords, index, [(l, index[i], y * width + index[j], c) for l, i, y, j, c in found]
+                j = index.get(target)
+                if j is None:
+                    j = index[target] = len(coords)
+                    coords.append(target)
+                    check(len(coords))
+                term = (i, sum(w * (v % p) for w, v in zip(weights, total)), j)
+                terms[l][term] = terms[l].get(term, 0) + c
+    return coords, index, terms
 
 
 def _field_bits(p: int, width: int) -> int:
@@ -187,25 +190,18 @@ def _reducer(p: int, b: int, count: int):
     return reduce
 
 
-def _step_maps(p: int, b: int, width: int, sections: int, cells, num_letters: int):
-    """L_x for every letter x, one packed int per coordinate.
+def _step_maps(p: int, b: int, width: int, terms) -> list:
+    """L_x for every letter x of :func:`_setup`'s terms, one packed int per coordinate.
 
-    Entry f of a letter's list is the image of the row whose only nonzero
-    field is field f, holding 1, that is of coordinate width - 1 - f.
-    Column J of the dense L_x is its field sections * width - 1 - J, so
-    section letter y fills one lane of width fields.  Repeated cells add up
-    mod p before they are packed.
+    Entry i of a letter's list is the image of coordinate i: term (i, y, j)
+    puts its coefficient, mod p, in field y * width + j, so section letter y
+    fills lane y of width fields.
     """
-    top = sections * width - 1
-    sums = [{} for _ in range(num_letters)]  # (row field, column field) -> coefficient
-    for l, i, col, c in cells:
-        cell = (width - 1 - i, top - col)
-        sums[l][cell] = sums[l].get(cell, 0) + c
     maps = []
-    for terms in sums:
+    for letter in terms:
         images = [0] * width
-        for (f, g), c in terms.items():
-            images[f] += c % p << g * b
+        for (i, y, j), c in letter.items():
+            images[i] += c % p << (y * width + j) * b
         maps.append(images)
     return maps
 
@@ -325,23 +321,22 @@ def _sum_accepts(p: int, b: int, ones: int, rows, masks) -> bool:
 
 
 def _kernels(p: int, width: int, sections: int) -> tuple:
-    """(b, step_maps, image, echelon, accepts) for packed rows of ``width`` coordinates over F_p.
+    """(b, image, echelon, accepts) for packed rows of ``width`` coordinates over F_p.
 
-    ``step_maps(cells, num_letters)`` packs the L_x of :func:`_setup`'s
-    cells, ``image(row, step_map)`` is the packed image of a row, section
-    letter y in lane sections - 1 - y of width*b bits, ``echelon(rows)`` is
-    the key of the span of packed rows, and ``accepts(rows, masks)`` whether
-    the rows lie in the kernel of A, given the fields of each column of A.
-    F_2 takes the XOR kernels and the parity test, with b = 1.
+    ``image(row, step_map)`` is the packed image of a row under one of
+    :func:`_step_maps`' L_x, section letter y in lane y of width*b bits,
+    ``echelon(rows)`` is the key of the span of packed rows, and
+    ``accepts(rows, masks)`` whether the rows lie in the kernel of A, given
+    the fields of each column of A.  F_2 takes the XOR kernels and the
+    parity test, with b = 1.
     """
     b = _field_bits(p, width)
-    step_maps = functools.partial(_step_maps, p, b, width, sections)
     if p == 2:
-        return b, step_maps, _image, functools.partial(_xor_echelon, width), _parity_accepts
+        return b, _image, functools.partial(_xor_echelon, width), _parity_accepts
     image = functools.partial(_mod_image, p, b, _reducer(p, b, sections * width))
     echelon = functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width)
     ones = ((1 << width * b) - 1) // ((1 << b) - 1)
-    return b, step_maps, image, echelon, functools.partial(_sum_accepts, p, b, ones)
+    return b, image, echelon, functools.partial(_sum_accepts, p, b, ones)
 
 
 def _unpack(key: int, lane: int) -> list:
@@ -376,12 +371,12 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     letters = tuple(moves)
     dispatch = isinstance(starts, dict)
     sections = p**r
-    coords, index, cells = _setup(
+    coords, index, terms = _setup(
         [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
     )
     width = len(coords)
-    b, step_maps, image, echelon, accepts = _kernels(p, width, sections)
-    maps = step_maps(cells, len(letters))
+    b, image, echelon, accepts = _kernels(p, width, sections)
+    maps = _step_maps(p, b, width, terms)
     lane = width * b  # the bits of one row
     # Each shift reads a whole image, so one shift per lane is quadratic in
     # p^r.  An image is halved, k times, into 2^k pieces of at most
@@ -391,16 +386,16 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     halvings = (-(-sections // DIRECT_LANES) - 1).bit_length()
     size = -(-sections >> halvings)  # lanes per piece
     splits = [(lane * size << k, (1 << (lane * size << k)) - 1) for k in reversed(range(halvings))]
-    shifts = [lane * (size - 1 - y) for y in range(size)]
+    shifts = [lane * y for y in range(size)]
     field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
 
     columns = {}  # column (group, monomial) of A -> the fields it sums
     for i, (j, e) in enumerate(coords):
-        columns[accept[j], e] = columns.get((accept[j], e), 0) | field_mask << b * (width - 1 - i)
+        columns[accept[j], e] = columns.get((accept[j], e), 0) | field_mask << b * i
     masks = list(columns.values())
 
     def pack(row):  # a start row: each coefficient in its coordinate's field
-        return sum(c << b * (width - 1 - index[j, e]) for j, f in enumerate(row) for e, c in f.terms.items())
+        return sum(c << b * index[j, e] for j, f in enumerate(row) for e, c in f.terms.items())
 
     def span_of(start_rows):
         return echelon([pack(row) for row in start_rows])
@@ -408,7 +403,7 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     def step(rows, step_map):  # the images, cut into their section lanes
         pieces = [image(row, step_map) for row in rows]
         for bits, low in splits:
-            pieces = [half for piece in pieces for half in (piece >> bits, piece & low)]
+            pieces = [half for piece in pieces for half in (piece & low, piece >> bits)]
         return echelon([piece >> shift & row_mask for piece in pieces for shift in shifts])
 
     def successors(key):  # the key is read back once for every letter
@@ -420,12 +415,12 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     def decode(key):
         out = []
         for row in _unpack(key, lane):
-            terms = [{} for _ in accept]
+            entries = [{} for _ in accept]
             for i, (j, e) in enumerate(coords):
-                c = row >> b * (width - 1 - i) & field_mask
+                c = row >> b * i & field_mask
                 if c:
-                    terms[j][e] = c
-            out.append(tuple(Poly._raw(field, r, t) for t in terms))
+                    entries[j][e] = c
+            out.append(tuple(Poly._raw(field, r, t) for t in entries))
         return out
 
     first = [span_of(starts[d]) for d in letters] if dispatch else None

@@ -54,7 +54,7 @@ def random_digits(field, num_vars):
 # ------------------------------------------------------------- construction
 
 def test_prime_field_rejects_composites():
-    for bad in (0, 1, 4, 6, 9, -3):
+    for bad in (0, 1, 4, 6, 9, -3, 2.0, "7", None):
         with pytest.raises(StructureError):
             PrimeField(bad)
     assert PrimeField(2).p == 2
@@ -78,6 +78,10 @@ def test_bad_terms_rejected():
         Poly(F2, 2, {(1,): 1})  # arity
     with pytest.raises(StructureError):
         Poly(F2, 1, {(-1,): 1})  # negative exponent
+    with pytest.raises(StructureError):
+        Poly(F2, 1, {("a",): 1})  # exponent not an integer
+    with pytest.raises(StructureError):
+        Poly(F2, 1, {(1,): "x"})  # coefficient not an integer
 
 
 def test_constructors():

@@ -13,6 +13,7 @@ import hashlib
 import io
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,11 +124,12 @@ def test_random_scalar_equations_match_set_construction(ede):
 
 # The dense int64 kernels the packed rows replaced, kept as the reference.
 
-def _step_matrices(cells, width: int, p: int, r: int, num_letters: int):
+def _step_matrices(terms, width: int, p: int, r: int):
     """L_x for every letter x: rows are coordinates, columns (section letter, coordinate)."""
-    out = np.zeros((num_letters, width, p**r * width), dtype=np.int64)
-    cells = np.array(cells, dtype=np.int64).reshape(-1, 4)
-    np.add.at(out, tuple(cells[:, :3].T), cells[:, 3])
+    out = np.zeros((len(terms), width, p**r * width), dtype=np.int64)
+    for l, letter in enumerate(terms):
+        for (i, y, j), c in letter.items():
+            out[l, i, y * width + j] = c
     return out % p
 
 
@@ -175,7 +177,7 @@ def fields(row: int, width: int, b: int) -> list:
 
 def echelon_rows(p: int, width: int, rows) -> list:
     """The packed echelon key of rows of coefficients, decoded back to rows."""
-    b, _, _, echelon, _ = span._kernels(p, width, 1)
+    b, _, echelon, _ = span._kernels(p, width, 1)
     key = echelon([pack(row, b) for row in rows])
     return [fields(row, width, b) for row in span._unpack(key, width * b)]
 
@@ -244,17 +246,18 @@ def test_packed_step_images_equal_the_dense_products(data):
     letters = ((0,), (1,))
     moves = {x: [(entry(), entry(), poly()) for _ in range(data.draw(st.integers(0, 4)))] for x in letters}
     start = [tuple(poly() for _ in range(entries))]
-    coords, _, cells = span._setup(start, moves, p, r, 3 * r)
+    coords, _, terms = span._setup(start, moves, p, r, 3 * r)
     width, sections = len(coords), p**r
-    dense = _step_matrices(cells, width, p, r, len(letters))
-    b, step_maps, image, _, _ = span._kernels(p, width, sections)
-    packed = step_maps(cells, len(letters))
+    dense = _step_matrices(terms, width, p, r)
+    b, image, _, _ = span._kernels(p, width, sections)
+    packed = span._step_maps(p, b, width, terms)
     row = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
     for l in range(len(letters)):
         want = (np.array(row, dtype=np.int64) @ dense[l] % p).reshape(sections, width)
-        got = image(pack(row, b), packed[l])
+        # coordinate i sits in field i, and pack and fields put a list's first entry on top
+        got = image(pack(row[::-1], b), packed[l])
         for y in range(sections):
-            assert fields(got >> width * b * (sections - 1 - y), width, b) == want[y].tolist()
+            assert fields(got >> width * b * y, width, b)[::-1] == want[y].tolist()
 
 
 def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
@@ -290,6 +293,21 @@ def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
     assert [signature(scalar.build_automaton(ede)) for ede in edes] == direct
 
 
+def test_wide_section_images_take_only_their_nonzero_lanes():
+    # one coordinate over p = 1021: every letter sends it to itself under
+    # section letter 0, so each image is one field wide, not p lanes
+    spec = cli.parse_spec(
+        {"p": 1021, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:0", "P": ["1:0"]}]}]}
+    )
+    tracemalloc.start()
+    try:
+        systems.solve_system(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+
+
 # ---------------------------------------------------------------- guards
 
 TEST_SPECS = pathlib.Path(__file__).resolve().parent / "specs"
@@ -306,7 +324,8 @@ def test_image_outside_the_degree_box_raises():
 
 
 def test_prime_that_could_overflow_int64_is_capped():
-    # (p - 1)^2 > 2^63: the step-matrix cap refuses before any product
+    # p sections alone put one coordinate's step map over the cell cap: the
+    # set-up refuses before it sums a term
     big = PrimeField(4294967311)
     one = Poly.one(big, 1)
     with pytest.raises(CapacityError):
