@@ -21,7 +21,8 @@ zero); "poly_coeff" is optional and written in the t unknowns.  For a
 companion ring replace "ring" by
     {"companion": {"n": 2, "rho": "1:0", "minpoly_numerators": ["1:1", "1:0"]}}
 and give "Q" and each "P" entry as a list of coefficient polynomials,
-lowest xi power first.
+lowest xi power first.  A key outside this schema is refused, as is an
+empty list of equations or of summands.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def _get(obj: dict, key: str, kind, path: str):
     return val
 
 
+def _known(obj: dict, keys: tuple, path: str):
+    for key in obj:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key, expected one of {', '.join(keys)}")
+
+
 def _poly(text, field, num_vars, path: str) -> Poly:
     if not isinstance(text, str):
         _fail(path, f"expected a polynomial string, got {type(text).__name__}")
@@ -76,6 +83,7 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
     """Validated SystemSpec from a decoded JSON object."""
     if not isinstance(obj, dict):
         _fail(origin, "top level must be an object")
+    _known(obj, ("p", "r", "t", "ring", "equations"), origin)
     p = _get(obj, "p", int, origin)
     r = _get(obj, "r", int, origin)
     t = _get(obj, "t", int, origin)
@@ -93,9 +101,11 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
     if ring != "scalar":
         if not isinstance(ring, dict) or "companion" not in ring:
             _fail(f"{origin}.ring", 'expected "scalar" or {"companion": {...}}')
+        _known(ring, ("companion",), f"{origin}.ring")
         cobj = ring["companion"]
         if not isinstance(cobj, dict):
             _fail(f"{origin}.ring.companion", f"expected an object, got {type(cobj).__name__}")
+        _known(cobj, ("n", "rho", "minpoly_numerators"), f"{origin}.ring.companion")
         n = _get(cobj, "n", int, f"{origin}.ring.companion")
         rho = _poly(
             _get(cobj, "rho", str, f"{origin}.ring.companion"),
@@ -111,16 +121,23 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
         except StructureError as exc:
             _fail(f"{origin}.ring.companion", str(exc))
     eqs_obj = _get(obj, "equations", list, origin)
+    if not eqs_obj:
+        _fail(f"{origin}.equations", "need at least one equation")
     equations = []
     for e, eq in enumerate(eqs_obj):
         eq_path = f"{origin}.equations[{e}]"
         if not isinstance(eq, dict):
             _fail(eq_path, "expected an object")
+        _known(eq, ("summands",), eq_path)
+        sm_objs = _get(eq, "summands", list, eq_path)
+        if not sm_objs:
+            _fail(f"{eq_path}.summands", "need at least one summand")
         summands = []
-        for i, sm in enumerate(_get(eq, "summands", list, eq_path)):
+        for i, sm in enumerate(sm_objs):
             sm_path = f"{eq_path}.summands[{i}]"
             if not isinstance(sm, dict):
                 _fail(sm_path, "expected an object")
+            _known(sm, ("poly_coeff", "Q", "P"), sm_path)
             coeff = None
             if "poly_coeff" in sm and sm["poly_coeff"] is not None:
                 coeff = _poly(sm["poly_coeff"], field, t, f"{sm_path}.poly_coeff")
@@ -143,10 +160,7 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
                 )
             summands.append(Summand(coeff, q, bases))
         equations.append(tuple(summands))
-    try:
-        spec = SystemSpec(field, r, t, comp, tuple(equations))
-    except StructureError as exc:
-        _fail(origin, str(exc))
+    spec = SystemSpec(field, r, t, comp, tuple(equations))  # every check it makes is made above
     try:
         spec.conjugator  # a singular C' is bad input; the build reuses this one
     except SingularConjugatorError as exc:

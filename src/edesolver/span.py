@@ -55,8 +55,8 @@ successor under x is the echelon form of the stacked images of the basis
 rows.  The echelon form is canonical, so equal spans get equal keys.  The
 exploration (``fsa.explore_dfa``) asks for all successors of a state at
 once, so its key is read back to rows once for every letter.  An image
-is cut into its p^r section lanes by one shift each, after halving an
-image of more than DIRECT_LANES lanes into pieces of at most that many.
+is cut into its section lanes by one shift each, up to its highest
+nonzero lane: the zero lanes above it would give zero rows.
 
 Rows.  A row is one Python int: coordinate i holds the b-bit field at
 bits b * i, so the leading column is the highest nonzero field and comes
@@ -91,9 +91,6 @@ from .gfpoly import Poly
 # Largest number of step-matrix cells (over all letters) one build may hold:
 # the packed maps take width ints of p^r * width fields per letter.
 MAX_STEP_CELLS = 1 << 24
-# Most section lanes cut out of one piece of an image by a shift each (an
-# image with more is halved first, see explore).
-DIRECT_LANES = 16
 
 
 def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
@@ -341,9 +338,8 @@ def _kernels(p: int, width: int, sections: int) -> tuple:
 
 def _unpack(key: int, lane: int) -> list:
     """The echelon rows of a packed key, leading column first; each row fills ``lane`` bits."""
-    mask = (1 << lane) - 1
-    count = -(-key.bit_length() // lane) if key else 0
-    return [key >> (lane * k) & mask for k in range(count - 1, -1, -1)]
+    mask = (1 << lane) - 1  # a zero key (every key when lane is 0) holds no rows
+    return [key >> s & mask for s in reversed(range(0, key.bit_length(), lane))] if key else []
 
 
 def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
@@ -370,23 +366,13 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     p = field.p
     letters = tuple(moves)
     dispatch = isinstance(starts, dict)
-    sections = p**r
     coords, index, terms = _setup(
         [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
     )
     width = len(coords)
-    b, image, echelon, accepts = _kernels(p, width, sections)
+    b, image, echelon, accepts = _kernels(p, width, p**r)
     maps = _step_maps(p, b, width, terms)
     lane = width * b  # the bits of one row
-    # Each shift reads a whole image, so one shift per lane is quadratic in
-    # p^r.  An image is halved, k times, into 2^k pieces of at most
-    # DIRECT_LANES lanes, and each lane is then one shift of its piece (no
-    # halving at p^r <= DIRECT_LANES).  The top piece is padded with zero
-    # lanes, which give zero rows, and the echelon form drops those.
-    halvings = (-(-sections // DIRECT_LANES) - 1).bit_length()
-    size = -(-sections >> halvings)  # lanes per piece
-    splits = [(lane * size << k, (1 << (lane * size << k)) - 1) for k in reversed(range(halvings))]
-    shifts = [lane * y for y in range(size)]
     field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
 
     columns = {}  # column (group, monomial) of A -> the fields it sums
@@ -400,11 +386,9 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     def span_of(start_rows):
         return echelon([pack(row) for row in start_rows])
 
-    def step(rows, step_map):  # the images, cut into their section lanes
-        pieces = [image(row, step_map) for row in rows]
-        for bits, low in splits:
-            pieces = [half for piece in pieces for half in (piece & low, piece >> bits)]
-        return echelon([piece >> shift & row_mask for piece in pieces for shift in shifts])
+    def step(rows, step_map):  # the images, cut into lanes up to their highest nonzero one
+        images = [image(row, step_map) for row in rows]
+        return echelon([im >> s & row_mask for im in images for s in range(0, im.bit_length(), lane)])
 
     def successors(key):  # the key is read back once for every letter
         if key is None:

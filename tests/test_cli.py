@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -250,12 +251,172 @@ def test_malformed_json(tmp_path, capsys):
     assert ":1:" in err  # line/column diagnostics
 
 
-def test_field_diagnostics(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"p": 2, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:"}]}]}')
-    code, _, err = run(capsys, "build", str(bad))
-    assert code == 2
-    assert "equations[0].summands[0]" in err
+SCALAR_SPEC = {"p": 2, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:0", "P": ["1:0"]}]}]}
+COMPANION_SPEC = {
+    "p": 2, "r": 1, "t": 1,
+    "ring": {"companion": {"n": 2, "rho": "1:0", "minpoly_numerators": ["1:1", "1:0"]}},
+    "equations": [{"summands": [{"Q": ["1:0"], "P": [["1:0"]]}]}],
+}
+SUMMAND = ("equations", 0, "summands", 0)
+DROP = object()
+
+
+def edited(spec, *where, value=DROP):
+    """A deep copy of ``spec`` with the value at the key path ``where`` replaced, or dropped."""
+    spec = copy.deepcopy(spec)
+    obj = spec
+    for key in where[:-1]:
+        obj = obj[key]
+    if value is DROP:
+        del obj[where[-1]]
+    else:
+        obj[where[-1]] = value
+    return spec
+
+
+def diagnostic(case, spec, where, message):
+    return pytest.param(spec, where, message, id=case)
+
+
+@pytest.mark.parametrize("spec, where, message", [
+    diagnostic("top-level", [], "", "top level must be an object"),
+    diagnostic("p-missing", edited(SCALAR_SPEC, "p"), ".p", "missing"),
+    diagnostic("p-string", edited(SCALAR_SPEC, "p", value="2"), ".p", "expected an integer, got '2'"),
+    diagnostic("p-bool", edited(SCALAR_SPEC, "p", value=True), ".p", "expected an integer, got True"),
+    diagnostic("p-composite", edited(SCALAR_SPEC, "p", value=6), ".p", "6 is not prime"),
+    diagnostic("t-zero", edited(SCALAR_SPEC, "t", value=0), ".t", "expected a positive integer, got 0"),
+    diagnostic(
+        "top-unknown-key", edited(SCALAR_SPEC, "eqs", value=[]),
+        ".eqs", "unknown key, expected one of p, r, t, ring, equations",
+    ),
+    diagnostic(
+        "ring-name", edited(SCALAR_SPEC, "ring", value="matrix"),
+        ".ring", 'expected "scalar" or {"companion": {...}}',
+    ),
+    diagnostic(
+        "ring-unknown-key", edited(COMPANION_SPEC, "ring", "extra", value=1),
+        ".ring.extra", "unknown key, expected one of companion",
+    ),
+    diagnostic(
+        "companion-list", edited(COMPANION_SPEC, "ring", "companion", value=[]),
+        ".ring.companion", "expected an object, got list",
+    ),
+    diagnostic(
+        "companion-unknown-key", edited(COMPANION_SPEC, "ring", "companion", "m", value=2),
+        ".ring.companion.m", "unknown key, expected one of n, rho, minpoly_numerators",
+    ),
+    diagnostic(
+        "companion-n-missing", edited(COMPANION_SPEC, "ring", "companion", "n"),
+        ".ring.companion.n", "missing",
+    ),
+    diagnostic(
+        "companion-rho-type", edited(COMPANION_SPEC, "ring", "companion", "rho", value=1),
+        ".ring.companion.rho", "expected str, got int",
+    ),
+    diagnostic(
+        "companion-rho-syntax", edited(COMPANION_SPEC, "ring", "companion", "rho", value="1:"),
+        ".ring.companion.rho", "term '1:' has 0 exponents, expected 1",
+    ),
+    diagnostic(
+        "numerators-type", edited(COMPANION_SPEC, "ring", "companion", "minpoly_numerators", value="1:0"),
+        ".ring.companion.minpoly_numerators", "expected list, got str",
+    ),
+    diagnostic(
+        "numerator-syntax", edited(COMPANION_SPEC, "ring", "companion", "minpoly_numerators", 1, value="x"),
+        ".ring.companion.minpoly_numerators[1]", "term 'x' is missing ':'",
+    ),
+    diagnostic(
+        "numerator-count", edited(COMPANION_SPEC, "ring", "companion", "minpoly_numerators", value=["1:1"]),
+        ".ring.companion", "need 2 last-column numerators",
+    ),
+    diagnostic(
+        "companion-rho-zero", edited(COMPANION_SPEC, "ring", "companion", "rho", value="0"),
+        ".ring.companion", "rho must be nonzero",
+    ),
+    diagnostic(
+        "companion-n-zero", edited(COMPANION_SPEC, "ring", "companion", "n", value=0),
+        ".ring.companion", "need n >= 1",
+    ),
+    diagnostic(
+        "companion-singular",
+        edited(COMPANION_SPEC, "ring", "companion", "minpoly_numerators", value=["1:0", "0"]),
+        ".ring.companion",
+        "conjugator is singular; the minimal polynomial is not irreducible and separable "
+        "over the fraction field",
+    ),
+    diagnostic("equations-missing", edited(SCALAR_SPEC, "equations"), ".equations", "missing"),
+    diagnostic(
+        "equations-object", edited(SCALAR_SPEC, "equations", value={}),
+        ".equations", "expected list, got dict",
+    ),
+    diagnostic(
+        "equations-empty", edited(SCALAR_SPEC, "equations", value=[]),
+        ".equations", "need at least one equation",
+    ),
+    diagnostic(
+        "equation-list", edited(SCALAR_SPEC, "equations", 0, value=[]),
+        ".equations[0]", "expected an object",
+    ),
+    diagnostic(
+        "equation-unknown-key", edited(SCALAR_SPEC, "equations", 0, "summand", value=[]),
+        ".equations[0].summand", "unknown key, expected one of summands",
+    ),
+    diagnostic(
+        "summands-missing", edited(SCALAR_SPEC, "equations", 0, "summands"),
+        ".equations[0].summands", "missing",
+    ),
+    diagnostic(
+        "summands-empty", edited(SCALAR_SPEC, "equations", 0, "summands", value=[]),
+        ".equations[0].summands", "need at least one summand",
+    ),
+    diagnostic(
+        "summand-string", edited(SCALAR_SPEC, *SUMMAND, value="Q"),
+        ".equations[0].summands[0]", "expected an object",
+    ),
+    diagnostic(
+        "summand-unknown-key", edited(SCALAR_SPEC, *SUMMAND, "poly_coef", value="1:1"),
+        ".equations[0].summands[0].poly_coef", "unknown key, expected one of poly_coeff, Q, P",
+    ),
+    diagnostic(
+        "poly-coeff-syntax", edited(SCALAR_SPEC, *SUMMAND, "poly_coeff", value="1:0,0"),
+        ".equations[0].summands[0].poly_coeff", "term '1:0,0' has 2 exponents, expected 1",
+    ),
+    diagnostic("Q-missing", edited(SCALAR_SPEC, *SUMMAND, "Q"), ".equations[0].summands[0].Q", "missing"),
+    diagnostic(
+        "P-missing", edited(edited(SCALAR_SPEC, *SUMMAND, "P"), *SUMMAND, "Q", value="1:"),
+        ".equations[0].summands[0].P", "expected a list of 1 bases",
+    ),
+    diagnostic(
+        "P-length", edited(SCALAR_SPEC, *SUMMAND, "P", value=["1:0", "1:0"]),
+        ".equations[0].summands[0].P", "expected a list of 1 bases",
+    ),
+    diagnostic(
+        "Q-syntax", edited(SCALAR_SPEC, *SUMMAND, "Q", value="1:"),
+        ".equations[0].summands[0].Q", "term '1:' has 0 exponents, expected 1",
+    ),
+    diagnostic(
+        "P-type", edited(SCALAR_SPEC, *SUMMAND, "P", 0, value=7),
+        ".equations[0].summands[0].P[0]", "expected a polynomial string, got int",
+    ),
+    diagnostic(
+        "companion-Q-empty", edited(COMPANION_SPEC, *SUMMAND, "Q", value=[]),
+        ".equations[0].summands[0].Q", "expected a nonempty list of coefficient polynomials",
+    ),
+    diagnostic(
+        "companion-P-string", edited(COMPANION_SPEC, *SUMMAND, "P", 0, value="1:0"),
+        ".equations[0].summands[0].P[0]", "expected a nonempty list of coefficient polynomials",
+    ),
+    diagnostic(
+        "companion-P-syntax", edited(COMPANION_SPEC, *SUMMAND, "P", 0, 0, value="1:-1"),
+        ".equations[0].summands[0].P[0][0]", "negative exponent in '1:-1'",
+    ),
+])
+def test_field_diagnostics(tmp_path, capsys, spec, where, message):
+    # each bad field exits 2 with one line naming its path, and no traceback
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}{where}: {message}\n")
 
 
 def test_non_prime_modulus(tmp_path, capsys):

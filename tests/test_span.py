@@ -274,12 +274,9 @@ def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
             assert len(reads) == 2 * aut.num_states
 
 
-@pytest.mark.parametrize("direct_lanes", [1, 2, 3, 16])
-def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
-    # p^r above DIRECT_LANES: each image is halved before its lanes are cut,
-    # and the top piece is padded with zero lanes, which must not change the
-    # raw automaton.  Relation specs P^n1 - (P^p)^n2 = 0, with n1 = p n2
-    # among their solutions, and the t = 2 suite instances at p^r = 9.
+def wide_section_edes():
+    # Relation specs P^n1 - (P^p)^n2 = 0, with n1 = p n2 among their
+    # solutions, at p^r = 17 and 25, and the t = 2 suite instances at p^r = 9
     def relation(p, r, base):
         field = PrimeField(p)
         one, base = Poly.one(field, r), parse_poly(base, field, r)
@@ -287,15 +284,65 @@ def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
 
     edes = [relation(17, 1, "1:1 + 1:0"), relation(5, 2, "1:1,0 + 1:0,1 + 1:0,0")]
     edes += [e for e in suites.scalar_suite() if e.field.p**e.r == 9 and e.t == 2]
-    monkeypatch.setattr(span, "DIRECT_LANES", 1 << 20)
-    direct = [signature(scalar.build_automaton(ede)) for ede in edes]
-    monkeypatch.setattr(span, "DIRECT_LANES", direct_lanes)
-    assert [signature(scalar.build_automaton(ede)) for ede in edes] == direct
+    assert len(edes) == 5
+    return edes
 
 
-def test_wide_section_images_take_only_their_nonzero_lanes():
+# SHA-256 of the raw automata of the wide-section instances, as the build
+# that cut every image into all of its p^r lanes gave them.
+WIDE_SECTION_DIGEST = "9ddc81afffd68ae6d8755dd388065bdbdc1d28e09c80608a6a7261aec7923687"
+
+
+def test_wide_section_builds_are_pinned():
+    # cutting each image only up to its highest nonzero lane must not
+    # change the raw automaton
+    digest = hashlib.sha256()
+    for ede in wide_section_edes():
+        raw = scalar.build_automaton(ede)
+        digest.update(repr((raw.transitions, sorted(raw.finals), raw.initial)).encode())
+    assert digest.hexdigest() == WIDE_SECTION_DIGEST
+
+
+@pytest.mark.parametrize("direct_lanes", [1, 2, 3, 16])
+def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
+    # The direct cut hands the echelon form every one of the p^r lanes of
+    # each image, padded with zero lanes to a multiple of direct_lanes (as a
+    # split into pieces of that many lanes does).  Fed those rows in place of
+    # the lanes up to the highest nonzero one, a build must not change.
+    edes = wide_section_edes()
+    want = [signature(scalar.build_automaton(ede)) for ede in edes]
+    images = []
+    mod_image, mod_echelon = span._mod_image, span._mod_echelon
+
+    def recorded(*args):
+        images.append(mod_image(*args))
+        return images[-1]
+
+    monkeypatch.setattr(span, "_mod_image", recorded)
+    for ede, built in zip(edes, want):
+        lanes = -(-ede.field.p**ede.r // direct_lanes) * direct_lanes
+
+        def direct(p, b, reduce, width, rows):
+            if images:  # a step: the rows are the lanes of these images
+                mask = (1 << width * b) - 1
+                rows = [im >> width * b * y & mask for im in images for y in range(lanes)]
+                images.clear()
+            return mod_echelon(p, b, reduce, width, rows)
+
+        monkeypatch.setattr(span, "_mod_echelon", direct)
+        assert signature(scalar.build_automaton(ede)) == built
+        assert not images
+
+
+def test_wide_section_images_take_only_their_nonzero_lanes(monkeypatch):
     # one coordinate over p = 1021: every letter sends it to itself under
-    # section letter 0, so each image is one field wide, not p lanes
+    # section letter 0, so each image is one field wide, not p lanes, and
+    # each image row hands at most one lane to the echelon form
+    handed = []
+    mod_echelon = span._mod_echelon
+    monkeypatch.setattr(
+        span, "_mod_echelon", lambda *args: handed.append(len(args[-1])) or mod_echelon(*args)
+    )
     spec = cli.parse_spec(
         {"p": 1021, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:0", "P": ["1:0"]}]}]}
     )
@@ -306,6 +353,7 @@ def test_wide_section_images_take_only_their_nonzero_lanes():
     finally:
         tracemalloc.stop()
     assert peak < 3 << 20, peak
+    assert max(handed) == 1, max(handed)  # a state spans at most one row
 
 
 # ---------------------------------------------------------------- guards
