@@ -147,17 +147,9 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
             p_val = sm.get("P")
             if not isinstance(p_val, list) or len(p_val) != t:
                 _fail(f"{sm_path}.P", f"expected a list of {t} bases")
-            if comp is None:
-                q = _poly(q_val, field, r, f"{sm_path}.Q")
-                bases = tuple(
-                    _poly(b, field, r, f"{sm_path}.P[{k}]") for k, b in enumerate(p_val)
-                )
-            else:
-                q = _xi_coeffs(q_val, field, r, f"{sm_path}.Q")
-                bases = tuple(
-                    _xi_coeffs(b, field, r, f"{sm_path}.P[{k}]")
-                    for k, b in enumerate(p_val)
-                )
+            elem = _poly if comp is None else _xi_coeffs
+            q = elem(q_val, field, r, f"{sm_path}.Q")
+            bases = tuple(elem(b, field, r, f"{sm_path}.P[{k}]") for k, b in enumerate(p_val))
             summands.append(Summand(coeff, q, bases))
         equations.append(tuple(summands))
     spec = SystemSpec(field, r, t, comp, tuple(equations))  # every check it makes is made above

@@ -5,7 +5,7 @@ companion matrix of a monic-up-to-scaling polynomial
 
     xi^n - (rho_{n-1}/rho) xi^{n-1} - ... - (rho_0/rho)
 
-assumed irreducible and separable over the fraction field of R.  To stay
+assumed separable (no repeated root) over the fraction field of R.  To stay
 inside polynomial entries the engine works with the scaled "entire" form
 B' = rho * B: rho on the subdiagonal and the numerators rho_0..rho_{n-1}
 in the last column.
@@ -18,8 +18,9 @@ the coordinates of xi^{p j} in the power basis) with
 
 That identity lets the per-digit step of :mod:`scalar` carry over: multiply
 the residue matrix by the digit-selected base powers AND one copy of C',
-then apply the entrywise section operator.  A singular C' is exactly how a
-reducible or inseparable input manifests and is rejected up front.
+then apply the entrywise section operator.  C' is singular exactly when
+the minimal polynomial has a repeated root, and such input is rejected up
+front; a reducible separable polynomial gives an invertible C' and works.
 
 This module holds only the ring: :class:`MatrixEde`, an
 :class:`scalar.Equation`, gives the equation layer of :mod:`scalar` its
@@ -237,8 +238,10 @@ def conjugator(spec: CompanionSpec) -> tuple:
     Scaling by sigma = rho^{p (n-1)} clears every column, giving a matrix
     over R that satisfies  B'^p C' = C' B'(x^p)  exactly.
 
-    Raises :class:`SingularConjugatorError` when det C' = 0, the signature
-    of a reducible or inseparable minimal polynomial.
+    Raises :class:`SingularConjugatorError` when det C' = 0, which happens
+    exactly when the minimal polynomial has a repeated root: up to nonzero
+    column scalars C' is the Krylov matrix of B'^p at e_0, e_0 is cyclic for
+    B' (B'^j e_0 = rho^j e_j), and Frobenius is injective in characteristic p.
     """
     n = spec.n
     field, r = spec.field, spec.r

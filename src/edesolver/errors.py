@@ -24,8 +24,8 @@ class CapacityError(RuntimeError):
 class SingularConjugatorError(ValueError):
     """The conjugator matrix is singular.
 
-    This is how an inseparable or reducible minimal polynomial manifests;
-    the input assertions of the companion specification do not hold.
+    It is singular exactly when the minimal polynomial has a repeated root
+    (see :func:`companion.conjugator`); a reducible separable one is fine.
     """
 
 

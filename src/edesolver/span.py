@@ -69,11 +69,12 @@ lane y of width fields, so an image is only as wide as its highest nonzero
 lane.  Over F_2 the sum and the elimination are XOR.  For odd p a row add
 is one integer add, and reducing mod p is a SWAR (SIMD within a register)
 ladder that subtracts p * 2^j from every field at or above it, largest j
-first (:func:`_reducer`).  The key is one int: the echelon rows in
-consecutive lanes of width * b bits.  It is not a tuple of row ints:
-CPython keeps freed tuples of each small length on freelists (up to 2000
-per length) that only a full collection empties, and tuple keys raised the
-peak memory of a matrix-suite benchmark run by about 1.7 MB (5 %).  A row
+first (:func:`_reducer`).  The key is the bytes of the echelon rows,
+leading column first, width * b // 8 + 1 little-endian bytes each: one join
+writes it, one pass of slices reads it.  Keys that pack nothing cost
+memory: through CPython's per-length tuple freelists a tuple of row ints
+raised the peak RSS of a matrix-suite benchmark run from 31.9 to 34.2 MB,
+and a frozenset of them takes about 1.7 KB more per state.  A row
 accepts when, for every column of A, its fields under the column's mask sum
 to zero mod p: over F_2 a parity, for odd p one product that gathers the
 fields into the top one.  :func:`_kernels` picks the kernels of each prime,
@@ -93,6 +94,24 @@ from .gfpoly import Poly
 MAX_STEP_CELLS = 1 << 24
 
 
+def _check_cells(letters: int, p: int, r: int, width: int):
+    """Raise CapacityError once letters * p^r * width^2 step-map cells pass MAX_STEP_CELLS."""
+    cells = letters * p**r * width * width
+    if cells > MAX_STEP_CELLS:
+        raise CapacityError(
+            f"{width} coordinates reachable: their step maps need {letters} letters x "
+            f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
+            discovered=width,
+        )
+
+
+def start_coords(rows, letters: int, p: int, r: int) -> list:
+    """The start rows' coordinates in row order; checks the cell cap before any multiplier is needed."""
+    coords = list(dict.fromkeys((j, e) for row in rows for j, f in enumerate(row) for e in f.terms))
+    _check_cells(letters, p, r, len(coords))
+    return coords
+
+
 def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     """(coords, index, terms): the coordinates and the terms of every L_x, in one pass.
 
@@ -103,29 +122,17 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     each coordinate i it takes, every multiplier term adds its coefficient
     to ``terms[l][i, y, j]``: letter l sends coordinate i to that multiple
     of coordinate j under section letter y.  The sums are not reduced mod p.
-    The degree box is widened to the degrees of the start rows.  Raises
-    CapacityError once the step maps of the coordinates numbered, letters *
-    p^r * width^2 cells, would pass MAX_STEP_CELLS: checked on the start
-    coordinates and at each new one.
+    The degree box is widened to the degrees of the start rows.  The cell
+    cap (:func:`_check_cells`) is checked on the start coordinates and at
+    each new one.
     """
     out_of = {}  # source entry -> (letter, target entry, multiplier)
     for l, triples in enumerate(moves.values()):
         for a, b, f in triples:
             out_of.setdefault(a, []).append((l, b, f))
     weights = [p ** (r - 1 - k) for k in range(r)]
-
-    def check(width):
-        cells = len(moves) * p**r * width * width
-        if cells > MAX_STEP_CELLS:
-            raise CapacityError(
-                f"{width} coordinates reachable: their step maps need {len(moves)} letters x "
-                f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
-                discovered=width,
-            )
-
-    coords = list(dict.fromkeys((j, e) for row in rows for j, f in enumerate(row) for e in f.terms))
+    coords = start_coords(rows, len(moves), p, r)
     index = {c: i for i, c in enumerate(coords)}
-    check(len(coords))
     bound = max([bound, *(sum(e) for _, e in coords)])
     terms = [{} for _ in moves]
     for i, (a, e) in enumerate(coords):  # the loop walks the queue as it grows
@@ -139,7 +146,7 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
                 if j is None:
                     j = index[target] = len(coords)
                     coords.append(target)
-                    check(len(coords))
+                    _check_cells(len(moves), p, r, len(coords))
                 term = (i, sum(w * (v % p) for w, v in zip(weights, total)), j)
                 terms[l][term] = terms[l].get(term, 0) + c
     return coords, index, terms
@@ -225,11 +232,11 @@ def _mod_image(p: int, b: int, reduce, row: int, step: list) -> int:
     return reduce(out, count * (p - 1) ** 2)
 
 
-def _xor_echelon(width: int, rows) -> int:
+def _xor_echelon(width: int, rows) -> bytes:
     """Reduced row-echelon form over F_2 of packed rows, as one key.
 
-    The nonzero echelon rows, leading column (top bit) first, fill
-    consecutive width-bit lanes of the key from the top lane down.
+    The key joins the nonzero echelon rows, leading column (top bit) first,
+    each in width // 8 + 1 little-endian bytes.
     """
     pivots = {}  # leading bit -> row
     for row in rows:
@@ -251,13 +258,10 @@ def _xor_echelon(width: int, rows) -> int:
             hits ^= 1 << bit
         pivots[lead] = row
         used |= 1 << lead
-    key = 0
-    for lead in reversed(leads):
-        key = key << width | pivots[lead]
-    return key
+    return b"".join([pivots[lead].to_bytes(width // 8 + 1, "little") for lead in reversed(leads)])
 
 
-def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> int:
+def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> bytes:
     """Reduced row-echelon form over odd p of packed rows (fields below p), as one key.
 
     Each pivot row is reduced and scaled to 1 in its leading field (the top
@@ -265,9 +269,8 @@ def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> int:
     value v with c = v mod p adds (p - c) times the pivot of f and drops the
     multiple of p left in f, and a field that holds a multiple of p is
     dropped as it comes.  The lead falls with every step, so the fields stay
-    below (p-1) + width*(p-1)^2.  The nonzero echelon rows, leading column
-    first, fill consecutive width*b-bit lanes of the key from the top lane
-    down.
+    below (p-1) + width*(p-1)^2.  The key joins the nonzero echelon rows,
+    leading column first, each in width*b // 8 + 1 little-endian bytes.
     """
     pivots = {}  # leading field -> row
     for row in rows:
@@ -300,10 +303,7 @@ def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> int:
                 steps += 1
         if steps:
             pivots[lead] = reduce(row, (p - 1) * (1 + steps * (p - 1)))
-    key = 0
-    for lead in reversed(leads):
-        key = key << width * b | pivots[lead]
-    return key
+    return b"".join([pivots[lead].to_bytes(width * b // 8 + 1, "little") for lead in reversed(leads)])
 
 
 def _parity_accepts(rows, masks) -> bool:
@@ -336,10 +336,10 @@ def _kernels(p: int, width: int, sections: int) -> tuple:
     return b, image, echelon, functools.partial(_sum_accepts, p, b, ones)
 
 
-def _unpack(key: int, lane: int) -> list:
-    """The echelon rows of a packed key, leading column first; each row fills ``lane`` bits."""
-    mask = (1 << lane) - 1  # a zero key (every key when lane is 0) holds no rows
-    return [key >> s & mask for s in reversed(range(0, key.bit_length(), lane))] if key else []
+def _unpack(key: bytes, lane: int) -> list:
+    """The echelon rows of a key, leading column first, for rows of ``lane`` bits."""
+    size = lane // 8 + 1
+    return [int.from_bytes(key[s:s + size], "little") for s in range(0, len(key), size)]
 
 
 def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):

@@ -111,8 +111,8 @@ class SystemSpec:
     def conjugator(self):
         """C' of the companion ring, computed once per spec; None for the scalar ring.
 
-        Raises :class:`SingularConjugatorError` for a reducible or
-        inseparable minimal polynomial (see :func:`companion.conjugator`).
+        Raises :class:`SingularConjugatorError` for a minimal polynomial
+        with a repeated root (see :func:`companion.conjugator`).
         """
         return None if self.companion is None else companion.conjugator(self.companion)[0]
 
@@ -200,8 +200,10 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     qs = dict(zip(letters, zip(*[_starts(sys.field.p, sms, letters) for sms in summands])))
     # one equation per system equation: its bases P^p and C' serve every prefix
     edes = [_peeled(sys, sms, q) for sms, q in zip(summands, qs[letters[0]])]
-    groups, moves = scalar.span_layout(edes)
     starts = {x: scalar.span_starts(edes, qs[x]) for x in letters}
+    # start rows over the cell cap are refused before the step multipliers are multiplied out
+    span.start_coords([row for x in letters for row in starts[x]], len(letters), sys.field.p, sys.r)
+    groups, moves = scalar.span_layout(edes)
     n0 = max(scalar.degree_bound(ede)[0] for ede in edes)
     finals, transitions, _ = span.explore(sys.field, sys.r, n0, starts, moves, state_cap, groups)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edesolver import cli, companion, systems
+from edesolver import cli, companion, scalar, systems
 from edesolver.fsa import Automaton
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -436,8 +436,37 @@ def test_huge_prime_exits_before_the_primality_test(capsys, monkeypatch):
     assert "huge_prime.json.p" in err and "letter cap of 4096" in err
 
 
-def test_reducible_companion(tmp_path, capsys):
-    # xi^2 = 1 over F_2 is (xi + 1)^2: the conjugator is singular
+def test_companion_over_the_cap_exits_before_the_step_multipliers(capsys, monkeypatch):
+    # p = 101: the start rows of the 101 first letters hold 402 coordinates,
+    # over the cell cap, so the build is refused before span_layout takes
+    # the powers of P^p and their products with C', which ran for minutes
+    laid_out = []
+    monkeypatch.setattr(scalar, "span_layout", lambda edes: laid_out.append(edes))
+    code, out, err = run(capsys, "solvable", str(TEST_SPECS / "cap_companion_p101.json"))
+    assert (code, out, laid_out) == (3, "", [])
+    assert err == (
+        "capacity exceeded: 402 coordinates reachable: their step maps need 101 letters x "
+        "101^1 sections x 402^2 = 1648522404 cells, over the cap of 16777216\n"
+    )
+
+
+def test_reducible_separable_companion(capsys):
+    # xi^2 + xi + theta^2 + theta = (xi + theta)(xi + theta + 1) over F_2[theta]
+    # is reducible but has no repeated root: C' is invertible and the ring is
+    # accepted.  xi -> theta needs n2 >= 1 and xi -> theta + 1 needs n1 = n2.
+    path = str(TEST_SPECS / "reducible_separable.json")
+    assert run(capsys, "build", path)[0] == 0
+    code, out, _ = run(capsys, "enum", path, "--max-len", "4")
+    assert code == 0
+    assert out.split() == [f"{n},{n}" for n in range(1, 16)]
+    code, out, _ = run(capsys, "verify", path, "--max-len", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["checked"], doc["mismatches"]) == (341, [])
+
+
+def test_repeated_root_companion(tmp_path, capsys):
+    # xi^2 = 1 over F_2 is (xi + 1)^2, a repeated root: the conjugator is singular
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
         "p": 2, "r": 1, "t": 1,

@@ -440,3 +440,25 @@ def test_raw_automata_and_bundled_builds_are_pinned():
             code = cli.main(["build", str(path)])
         digest.update(f"{path.name} {code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# SHA-256 of the languages of both suites, the bundled specs and three
+# companion specs: (transitions, sorted finals, initial) of each minimal
+# automaton.  The state labels are left out, so a construction that names
+# its states otherwise must still keep this digest, and every language.
+LANGUAGE_DIGEST = "3fede37c352d25bad0036309cf254a4c4c0395b44787813a69a8cf410f40c3ac"
+PINNED_SPECS = ("relation_n4", "relation_p3_n2", "companion_system_t2")
+
+
+def test_minimal_languages_are_pinned():
+    def raw_automata():
+        for ede in suites.scalar_suite() + suites.matrix_suite():
+            yield scalar.build_automaton(ede)
+        for path in sorted(SPECS.glob("*.json")) + [TEST_SPECS / f"{name}.json" for name in PINNED_SPECS]:
+            yield systems.solve_system(cli.load_spec(str(path)))
+
+    digest = hashlib.sha256()
+    for raw in raw_automata():
+        aut = raw.minimize()
+        digest.update(repr((aut.transitions, sorted(aut.finals), aut.initial)).encode())
+    assert digest.hexdigest() == LANGUAGE_DIGEST
