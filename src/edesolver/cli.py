@@ -162,12 +162,16 @@ def parse_spec(obj: dict, origin: str = "spec") -> SystemSpec:
 
 def load_spec(path: str) -> SystemSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: not UTF-8 text: byte {exc.start} is 0x{exc.object[exc.start]:02x}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path}: JSON nested too deeply") from exc
     return parse_spec(obj, origin=path)
 
 

@@ -338,9 +338,6 @@ class MatrixEde(Equation):
     def conjugator(self) -> PolyMatrix:
         return conjugator(self.base)[0] if self.cprime is None else self.cprime
 
-    def entries(self, elem: PolyMatrix) -> tuple:
-        return tuple(f for row in elem.rows for f in row)
-
     def element(self, entries) -> PolyMatrix:
         n = self.n
         return PolyMatrix(self.field, self.r, [entries[a * n:(a + 1) * n] for a in range(n)])

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field as dc_field
 from . import fsa
 from .companion import MatrixEde
 from .digits import DigitWord, alphabet, count_words
-from .errors import StructureError
+from .errors import CapacityError, StructureError
 from .gfpoly import Poly
 from .scalar import ScalarEde
 from .systems import SystemSpec
@@ -58,6 +58,11 @@ DEFAULT_WORD_CAP = 500_000
 # one pass of the word sweep, and in the cube it is cut from unless that cube
 # is the smallest: bigger passes save little time and cost memory.
 BATCH_CELLS = 1 << 15
+# Largest canvas one word may need at the final length (n^2 times its
+# extent).  It bounds outside input, not a tuning knob: the bundled specs
+# and suite instances need at most 27576 cells, and past it a single word's
+# arrays run to gigabytes.
+MAX_WORD_CELLS = 1 << 20
 
 
 class _Numpy:
@@ -248,7 +253,9 @@ def _equation_zeros(p: int, t: int, summands, length: int):
     and ``low`` is the largest cube within that cap: passes at l + 1
     letters are at most p^t times those at l, while odometer steps fall by
     p^t, so no smaller cube needs fewer products.  A cube of one letter, or
-    of none when no summand has a poly_coeff, is always allowed.
+    of none when no summand has a poly_coeff, is always allowed.  A word
+    whose canvas at the final length passes MAX_WORD_CELLS raises
+    CapacityError before any array is made.
     """
     size = p**t  # letters
     # a summand whose constant q is zero vanishes everywhere
@@ -270,12 +277,17 @@ def _equation_zeros(p: int, t: int, summands, length: int):
             for v in range(r)
         )
 
+    canvas = cells(length)
+    if canvas > MAX_WORD_CELLS:
+        raise CapacityError(
+            f"one word of {length} letters needs a canvas of {canvas} cells, over the cap of {MAX_WORD_CELLS}"
+        )
     # poly_coeff is read off the first letter, so then the cube holds one at least
     first = int(any(c is not None for c, _, _ in summands))
     # the largest cube within the cap, cut into equal passes within the cap at
     # the final extent
     low = max(l for l in range(first, length + 1) if l == first or size**l * cells(l) <= BATCH_CELLS)
-    passes = -(-(size**low) // max(1, BATCH_CELLS // cells(length)))
+    passes = -(-(size**low) // max(1, BATCH_CELLS // canvas))
     width = -(-(size**low) // passes)
     hi = length - low
     # the cube reads P^(p^l) for l < low and the odometer P^(p^low): literal

@@ -21,9 +21,9 @@ matrices need the conjugator C' to commute the p-th power past the section.
 F_p[x_1..x_r] is the order-one companion ring: its C' is the 1-by-1
 identity, the polynomial 1.  So every function below is written once,
 against the small interface both equation classes provide: the order
-``n``, the ring's ``one``, the ``conjugator`` C', and ``entries`` /
-``element``, which flatten a ring element into its n^2 entry polynomials
-and rebuild it.  Both classes derive from :class:`Equation`, which checks
+``n``, the ring's ``one``, the ``conjugator`` C', and ``element``, which
+rebuilds a ring element from the n^2 entry polynomials that :func:`entries`
+flattens it into.  Both classes derive from :class:`Equation`, which checks
 the summands and the base grid against the ring's ``_member`` test and
 holds ``s`` and both alphabets.
 
@@ -64,7 +64,7 @@ class Equation:
 
     Each ring is a frozen dataclass on this base with fields ``q`` and
     ``bases``.  It provides ``field``, ``r`` and ``t``, the order ``n``, the
-    ring's ``one``, the ``conjugator`` C', ``entries`` / ``element`` and
+    ring's ``one``, the ``conjugator`` C', ``element`` and
     ``_member(elem)``, whether elem lies in the ring.
     """
 
@@ -120,9 +120,6 @@ class ScalarEde(Equation):
     def conjugator(self) -> Poly:
         """C' of the order-one ring: the 1-by-1 identity."""
         return self.one
-
-    def entries(self, elem: Poly) -> tuple:
-        return (elem,)
 
     def element(self, entries) -> Poly:
         return entries[0]
@@ -227,6 +224,11 @@ def initial_state(ede) -> frozenset:
     return frozenset({tuple(ede.q)})
 
 
+def entries(elem) -> tuple:
+    """The entry polynomials of a ring element, row-major; a Poly is its own one entry."""
+    return (elem,) if isinstance(elem, Poly) else tuple(f for row in elem.rows for f in row)
+
+
 def span_layout(edes) -> tuple:
     """(acceptance groups, moves) for :mod:`span`, the equations side by side.
 
@@ -253,20 +255,21 @@ def span_layout(edes) -> tuple:
             for x, triples in moves.items():
                 power = letter_power(tables, x)
                 if power is None:
-                    mult = ede.entries(cprime)
+                    mult = entries(cprime)
                 else:
-                    mult = ede.entries(power if plain else power * cprime)
+                    mult = entries(power if plain else power * cprime)
                 for a, k, b in itertools.product(range(n), repeat=3):
                     triples.append((offset + a * n + k, offset + a * n + b, mult[k * n + b]))
     return groups, moves
 
 
-def span_starts(edes, qs) -> list:
+def span_starts(qs) -> list:
     """One start row per equation, laid out as :func:`span_layout` lays it:
     the entries of ``qs[e]``, the start coefficients of equation e, in its
-    own slots and zeros in the others."""
-    flat = [[f for elem in q for f in ede.entries(elem)] for ede, q in zip(edes, qs)]
-    zero = Poly.zero(edes[0].field, edes[0].r)
+    own slots and zeros in the others.  Only the ring's entry layout is
+    read, so no equation need be built first."""
+    flat = [[f for elem in q for f in entries(elem)] for q in qs]
+    zero = Poly.zero(flat[0][0].field, flat[0][0].num_vars)
     return [[f if k == e else zero for k, fs in enumerate(flat) for f in fs] for e in range(len(flat))]
 
 
@@ -274,7 +277,7 @@ def _span(ede, state_cap: int) -> tuple:
     """(finals, transitions, bases) of the span exploration of one equation."""
     groups, moves = span_layout([ede])
     return span.explore(
-        ede.field, ede.r, degree_bound(ede)[0], span_starts([ede], [ede.q]), moves, state_cap, groups
+        ede.field, ede.r, degree_bound(ede)[0], span_starts([ede.q]), moves, state_cap, groups
     )
 
 

@@ -48,7 +48,10 @@ zero letter spell the same tuple.
 Acceptance.  Every caller gives entry groups, one per equation and matrix
 entry: a row accepts when, within every group, the entries sum to zero
 monomial by monomial, that is when it lies in the kernel of the 0/1
-matrix A summing each group's entries at each monomial.
+matrix A summing each group's entries at each monomial.  A is packed as a
+step map is: coordinate i is sent to the field of its column (group,
+monomial), so a row accepts when its image under A is zero, and a span
+when every row of its basis does.
 
 States.  A state is the reduced row-echelon basis of its span; the
 successor under x is the echelon form of the stacked images of the basis
@@ -74,11 +77,9 @@ leading column first, width * b // 8 + 1 little-endian bytes each: one join
 writes it, one pass of slices reads it.  Keys that pack nothing cost
 memory: through CPython's per-length tuple freelists a tuple of row ints
 raised the peak RSS of a matrix-suite benchmark run from 31.9 to 34.2 MB,
-and a frozenset of them takes about 1.7 KB more per state.  A row
-accepts when, for every column of A, its fields under the column's mask sum
-to zero mod p: over F_2 a parity, for odd p one product that gathers the
-fields into the top one.  :func:`_kernels` picks the kernels of each prime,
-this test among them.
+and a frozenset of them takes about 1.7 KB more per state.
+:func:`_kernels` picks the image and echelon kernels of each prime; the
+image kernel serves both the steps and the acceptance test.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ def _field_bits(p: int, width: int) -> int:
     2^(b-1), its top bit a guard for :func:`_reducer`, and b is the least
     that holds the largest unreduced sum a kernel forms, (p-1) + width*(p-1)^2:
     a reduced row with up to width pivot rows added, each at most p - 1
-    times.  That also covers an image, at most width*(p-1)^2, and the field
-    sums of the acceptance test, at most width*(p-1).
+    times.  That also covers an image, at most width*(p-1)^2, and so an
+    image under A, whose fields sum at most width*(p-1).
     """
     return 1 if p == 2 else ((p - 1) * (1 + width * (p - 1))).bit_length() + 1
 
@@ -306,34 +307,19 @@ def _mod_echelon(p: int, b: int, reduce, width: int, rows) -> bytes:
     return b"".join([pivots[lead].to_bytes(width * b // 8 + 1, "little") for lead in reversed(leads)])
 
 
-def _parity_accepts(rows, masks) -> bool:
-    """Over F_2: every row has even parity under every column mask of A."""
-    return not any((row & mask).bit_count() & 1 for row in rows for mask in masks)
-
-
-def _sum_accepts(p: int, b: int, ones: int, rows, masks) -> bool:
-    """Over odd p: times ``ones``, 1 in every field, a masked row's top field sums its fields."""
-    top, field_mask = ones.bit_length() - 1, (1 << b) - 1
-    return not any(((row & mask) * ones >> top & field_mask) % p for row in rows for mask in masks)
-
-
 def _kernels(p: int, width: int, sections: int) -> tuple:
-    """(b, image, echelon, accepts) for packed rows of ``width`` coordinates over F_p.
+    """(b, image, echelon) for packed rows of ``width`` coordinates over F_p.
 
     ``image(row, step_map)`` is the packed image of a row under one of
-    :func:`_step_maps`' L_x, section letter y in lane y of width*b bits,
-    ``echelon(rows)`` is the key of the span of packed rows, and
-    ``accepts(rows, masks)`` whether the rows lie in the kernel of A, given
-    the fields of each column of A.  F_2 takes the XOR kernels and the
-    parity test, with b = 1.
+    :func:`_step_maps`' L_x, section letter y in lane y of width*b bits, or
+    under the acceptance map of :func:`explore`; ``echelon(rows)`` is the
+    key of the span of packed rows.  F_2 takes the XOR kernels, with b = 1.
     """
     b = _field_bits(p, width)
     if p == 2:
-        return b, _image, functools.partial(_xor_echelon, width), _parity_accepts
+        return b, _image, functools.partial(_xor_echelon, width)
     image = functools.partial(_mod_image, p, b, _reducer(p, b, sections * width))
-    echelon = functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width)
-    ones = ((1 << width * b) - 1) // ((1 << b) - 1)
-    return b, image, echelon, functools.partial(_sum_accepts, p, b, ones)
+    return b, image, functools.partial(_mod_echelon, p, b, _reducer(p, b, width), width)
 
 
 def _unpack(key: bytes, lane: int) -> list:
@@ -370,15 +356,12 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
         [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
     )
     width = len(coords)
-    b, image, echelon, accepts = _kernels(p, width, p**r)
+    b, image, echelon = _kernels(p, width, p**r)
     maps = _step_maps(p, b, width, terms)
     lane = width * b  # the bits of one row
     field_mask, row_mask = (1 << b) - 1, (1 << lane) - 1
-
-    columns = {}  # column (group, monomial) of A -> the fields it sums
-    for i, (j, e) in enumerate(coords):
-        columns[accept[j], e] = columns.get((accept[j], e), 0) | field_mask << b * i
-    masks = list(columns.values())
+    columns = {}  # column (group, monomial) of A -> its index
+    amap = [1 << b * columns.setdefault((accept[j], e), len(columns)) for j, e in coords]
 
     def pack(row):  # a start row: each coefficient in its coordinate's field
         return sum(c << b * index[j, e] for j, f in enumerate(row) for e, c in f.terms.items())
@@ -409,5 +392,8 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
 
     first = [span_of(starts[d]) for d in letters] if dispatch else None
     keys, transitions = fsa.explore_dfa(None if dispatch else span_of(starts), successors, state_cap)
-    finals = {i for i, key in enumerate(keys) if accepts(_unpack(first[0] if key is None else key, lane), masks)}
+    finals = {
+        i for i, key in enumerate(keys)
+        if not any(image(row, amap) for row in _unpack(first[0] if key is None else key, lane))
+    }
     return finals, transitions, (None if key is None else decode(key) for key in keys)

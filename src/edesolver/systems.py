@@ -198,11 +198,11 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     letters = digits.alphabet(sys.field.p, sys.t)
     summands = [sys.ring_summands(eq) for eq in sys.equations]
     qs = dict(zip(letters, zip(*[_starts(sys.field.p, sms, letters) for sms in summands])))
+    starts = {x: scalar.span_starts(qs[x]) for x in letters}
+    # start rows over the cell cap are refused before any base P^p is taken
+    span.start_coords([row for x in letters for row in starts[x]], len(letters), sys.field.p, sys.r)
     # one equation per system equation: its bases P^p and C' serve every prefix
     edes = [_peeled(sys, sms, q) for sms, q in zip(summands, qs[letters[0]])]
-    starts = {x: scalar.span_starts(edes, qs[x]) for x in letters}
-    # start rows over the cell cap are refused before the step multipliers are multiplied out
-    span.start_coords([row for x in letters for row in starts[x]], len(letters), sys.field.p, sys.r)
     groups, moves = scalar.span_layout(edes)
     n0 = max(scalar.degree_bound(ede)[0] for ede in edes)
     finals, transitions, _ = span.explore(sys.field, sys.r, n0, starts, moves, state_cap, groups)

@@ -251,6 +251,19 @@ def test_malformed_json(tmp_path, capsys):
     assert ":1:" in err  # line/column diagnostics
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "not UTF-8 text: byte 0 is 0xff"),
+    (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+], ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_spec_files(tmp_path, capsys, content, message):
+    # a file that is not UTF-8, or JSON nested past the parser's recursion
+    # limit, exits 2 with one line naming it, and no traceback
+    bad = tmp_path / "spec.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "build", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
 SCALAR_SPEC = {"p": 2, "r": 1, "t": 1, "equations": [{"summands": [{"Q": "1:0", "P": ["1:0"]}]}]}
 COMPANION_SPEC = {
     "p": 2, "r": 1, "t": 1,
@@ -447,6 +460,39 @@ def test_companion_over_the_cap_exits_before_the_step_multipliers(capsys, monkey
     assert err == (
         "capacity exceeded: 402 coordinates reachable: their step maps need 101 letters x "
         "101^1 sections x 402^2 = 1648522404 cells, over the cap of 16777216\n"
+    )
+
+
+def test_companion_over_the_cap_exits_before_any_power_of_a_base(capsys, monkeypatch):
+    # the start rows need only the start coefficients: the cell cap refuses
+    # the p = 101 spec before _peeled takes any base P^p (the conjugator
+    # takes B'^p while the spec loads, before the patch)
+    load = cli.load_spec
+
+    def refuse(*args):
+        raise AssertionError("a power was taken")
+
+    def loaded(path):
+        spec = load(path)
+        monkeypatch.setattr(companion.PolyMatrix, "__pow__", refuse)
+        return spec
+
+    monkeypatch.setattr(cli, "load_spec", loaded)
+    code, out, err = run(capsys, "solvable", str(TEST_SPECS / "cap_companion_p101.json"))
+    assert (code, out) == (3, "")
+    assert "402 coordinates reachable" in err
+
+
+def test_huge_canvas_verify_exits_before_allocating(capsys):
+    # the build answers, but one word of 4 letters would need 10^12 cells
+    # in the oracle (931 GiB as numpy asked for it): refused as a blown cap
+    path = str(TEST_SPECS / "huge_canvas.json")
+    assert run(capsys, "build", path)[0] == 0
+    code, out, err = run(capsys, "verify", path)
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity exceeded: one word of 4 letters needs a canvas of 1000017000016 cells, "
+        "over the cap of 1048576\n"
     )
 
 

@@ -177,7 +177,7 @@ def fields(row: int, width: int, b: int) -> list:
 
 def echelon_rows(p: int, width: int, rows) -> list:
     """The packed echelon key of rows of coefficients, decoded back to rows."""
-    b, _, echelon, _ = span._kernels(p, width, 1)
+    b, _, echelon = span._kernels(p, width, 1)
     key = echelon([pack(row, b) for row in rows])
     return [fields(row, width, b) for row in span._unpack(key, width * b)]
 
@@ -249,7 +249,7 @@ def test_packed_step_images_equal_the_dense_products(data):
     coords, _, terms = span._setup(start, moves, p, r, 3 * r)
     width, sections = len(coords), p**r
     dense = _step_matrices(terms, width, p, r)
-    b, image, _, _ = span._kernels(p, width, sections)
+    b, image, _ = span._kernels(p, width, sections)
     packed = span._step_maps(p, b, width, terms)
     row = data.draw(st.lists(st.integers(0, p - 1), min_size=width, max_size=width))
     for l in range(len(letters)):
@@ -258,6 +258,69 @@ def test_packed_step_images_equal_the_dense_products(data):
         got = image(pack(row[::-1], b), packed[l])
         for y in range(sections):
             assert fields(got >> width * b * y, width, b)[::-1] == want[y].tolist()
+
+
+def span_verdict(p: int, accept, rows) -> bool:
+    """Whether the engine's start span of ``rows`` (one {exponent: coeff} per entry) accepts."""
+    field = PrimeField(p)
+    start = [tuple(Poly(field, 1, {(e,): c for e, c in entry.items() if c}) for entry in row) for row in rows]
+    finals, _, _ = span.explore(field, 1, 0, start, {(0,): []}, 10, accept)
+    return 0 in finals
+
+
+def dense_verdict(p: int, accept, rows) -> bool:
+    """A v = 0 for every row v: each group's entries sum to zero mod p at each monomial."""
+    for row in rows:
+        sums = {}
+        for group, entry in zip(accept, row):
+            for e, c in entry.items():
+                sums[group, e] = sums.get((group, e), 0) + c
+        if any(c % p for c in sums.values()):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_verdict_is_the_dense_kernel_test(data):
+    # rows of all p - 1 load every field of an image under A to its largest
+    # sum, (p - 1) times the entries in its group
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    size = data.draw(st.integers(1, 2 * p + 1))
+    accept = data.draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    coeff = st.integers(0, p - 1)
+    monomials = st.sets(st.integers(0, 2), min_size=1)
+
+    def row():
+        if data.draw(st.booleans()):  # every field p - 1
+            tops = data.draw(monomials)
+            return [{e: p - 1 for e in tops} for _ in accept]
+        out = [data.draw(st.dictionaries(st.integers(0, 2), coeff, max_size=3)) for _ in accept]
+        if data.draw(st.booleans()):  # into the kernel: each group's last entry cancels the others
+            for g in set(accept):
+                last = max(j for j, group in enumerate(accept) if group == g)
+                out[last] = {e: -sum(out[j].get(e, 0) for j in range(last) if accept[j] == g) % p for e in range(3)}
+        return out
+
+    rows = [row() for _ in range(data.draw(st.integers(1, 3)))]
+    assert span_verdict(p, accept, rows) == dense_verdict(p, accept, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_span_verdict_on_full_fields(p):
+    # one group of k entries, each p - 1 at two monomials: the column sums
+    # are k (p - 1), zero mod p exactly when p divides k
+    for k in range(1, 2 * p + 2):
+        rows = [[{0: p - 1, 2: p - 1}] * k]
+        assert span_verdict(p, [0] * k, rows) == (k % p == 0), k
+    # two groups of p entries each accept; moving one entry across rejects
+    rows = [[{1: p - 1}] * (2 * p)]
+    assert span_verdict(p, [0] * p + [1] * p, rows)
+    assert not span_verdict(p, [0] * (p - 1) + [1] * (p + 1), rows)
+    # every basis row is tested, not only the one with the highest lead
+    rows = [[{0: 1}] + [{}] * (p - 1), [{1: p - 1}] * p]
+    assert span_verdict(p, [0] * p, rows[1:])
+    assert not span_verdict(p, [0] * p, rows)
 
 
 def test_packed_explore_reads_each_key_back_once_per_state(monkeypatch):
@@ -309,16 +372,24 @@ def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
     # each image, padded with zero lanes to a multiple of direct_lanes (as a
     # split into pieces of that many lanes does).  Fed those rows in place of
     # the lanes up to the highest nonzero one, a build must not change.
+    # The acceptance test takes images under A with the same kernel: only
+    # images under a step map are steps.
     edes = wide_section_edes()
     want = [signature(scalar.build_automaton(ede)) for ede in edes]
-    images = []
-    mod_image, mod_echelon = span._mod_image, span._mod_echelon
+    images, verdicts, maps = [], [], []
+    mod_image, mod_echelon, step_maps = span._mod_image, span._mod_echelon, span._step_maps
 
-    def recorded(*args):
-        images.append(mod_image(*args))
-        return images[-1]
+    def recorded(p, b, reduce, row, step):
+        out = mod_image(p, b, reduce, row, step)
+        (images if any(step is m for m in maps) else verdicts).append(out)
+        return out
+
+    def built_maps(*args):
+        maps[:] = step_maps(*args)
+        return list(maps)
 
     monkeypatch.setattr(span, "_mod_image", recorded)
+    monkeypatch.setattr(span, "_step_maps", built_maps)
     for ede, built in zip(edes, want):
         lanes = -(-ede.field.p**ede.r // direct_lanes) * direct_lanes
 
@@ -330,8 +401,10 @@ def test_wide_section_builds_equal_the_direct_cut(monkeypatch, direct_lanes):
             return mod_echelon(p, b, reduce, width, rows)
 
         monkeypatch.setattr(span, "_mod_echelon", direct)
+        verdicts.clear()
         assert signature(scalar.build_automaton(ede)) == built
         assert not images
+        assert verdicts  # the acceptance pass ran through the image kernel
 
 
 def test_wide_section_images_take_only_their_nonzero_lanes(monkeypatch):
