@@ -172,6 +172,8 @@ def load_spec(path: str) -> SystemSpec:
         raise SpecFileError(f"{path}: not UTF-8 text: byte {exc.start} is 0x{exc.object[exc.start]:02x}") from exc
     except RecursionError as exc:
         raise SpecFileError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # after its subclasses above: an integer over Python's digit limit
+        raise SpecFileError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     return parse_spec(obj, origin=path)
 
 

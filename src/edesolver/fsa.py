@@ -155,18 +155,9 @@ class Automaton:
         return Automaton(self.p, self.t, labels, trans, fresh, self.finals)
 
     def is_empty(self) -> bool:
-        """True when no word at all is accepted."""
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            q = queue.popleft()
-            if q in self.finals:
-                return False
-            for nxt in self.transitions[q]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return True
+        """True when no word at all is accepted: no final state is reachable."""
+        reachable, _ = explore_dfa(self.initial, self.transitions.__getitem__, self.num_states)
+        return self.finals.isdisjoint(reachable)
 
     def enumerate_words(self, max_len: int) -> list:
         """Accepted words of length <= max_len, shortest first, lex within."""

@@ -177,12 +177,12 @@ def digit_powers(base, p: int) -> tuple:
     return tuple(out)
 
 
-def letter_power(tables, x):
-    """prod_k P_k^{x_k} from the :func:`digit_powers` of each base; None when every digit is 0."""
-    out = None
-    for table, d in zip(tables, x):
+def letter_power(tables, x, out):
+    """P_1^{x_1} .. P_t^{x_t} * out from each base's :func:`digit_powers`: the factors
+    multiply ``out`` from the left, last base first, in :func:`base_power`'s order."""
+    for table, d in zip(reversed(tables), reversed(x)):
         if d:
-            out = table[d - 1] if out is None else out * table[d - 1]
+            out = table[d - 1] * out
     return out
 
 
@@ -247,17 +247,12 @@ def span_layout(edes) -> tuple:
     groups, moves = [], {x: [] for x in edes[0].exponent_alphabet}
     for e, ede in enumerate(edes):
         n, cprime = ede.n, ede.conjugator
-        plain = cprime == ede.one  # as in the scalar ring: no product with C'
         for i in range(ede.s):
             offset = len(groups)  # of summand i
             groups += [(e, g) for g in range(n * n)]
             tables = [digit_powers(base, ede.field.p) for base in ede.bases[i]]
             for x, triples in moves.items():
-                power = letter_power(tables, x)
-                if power is None:
-                    mult = entries(cprime)
-                else:
-                    mult = entries(power if plain else power * cprime)
+                mult = entries(letter_power(tables, x, cprime))
                 for a, k, b in itertools.product(range(n), repeat=3):
                     triples.append((offset + a * n + k, offset + a * n + b, mult[k * n + b]))
     return groups, moves

@@ -131,7 +131,6 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     for l, triples in enumerate(moves.values()):
         for a, b, f in triples:
             out_of.setdefault(a, []).append((l, b, f))
-    weights = [p ** (r - 1 - k) for k in range(r)]
     coords = start_coords(rows, len(moves), p, r)
     index = {c: i for i, c in enumerate(coords)}
     bound = max([bound, *(sum(e) for _, e in coords)])
@@ -148,7 +147,10 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
                     j = index[target] = len(coords)
                     coords.append(target)
                     _check_cells(len(moves), p, r, len(coords))
-                term = (i, sum(w * (v % p) for w, v in zip(weights, total)), j)
+                y = 0  # the section letter, by Horner's rule over the exponents
+                for v in total:
+                    y = y * p + v % p
+                term = (i, y, j)
                 terms[l][term] = terms[l].get(term, 0) + c
     return coords, index, terms
 
@@ -227,7 +229,7 @@ def _mod_image(p: int, b: int, reduce, row: int, step: list) -> int:
     while row:
         f = (row.bit_length() - 1) // b
         c = row >> f * b  # the top field
-        out += step[f] if c == 1 else c * step[f]
+        out += c * step[f]
         row -= c << f * b
         count += 1
     return reduce(out, count * (p - 1) ** 2)

@@ -138,9 +138,9 @@ def _starts(p: int, summands, prefixes) -> list:
     for prefix in prefixes:
         starts = []
         for (coeff, q, _), table in zip(summands, tables):
-            q = q * (1 if coeff is None else coeff.evaluate(prefix))
-            power = scalar.letter_power(table, prefix)
-            starts.append(q if power is None else q * power)
+            if coeff is not None:
+                q = q * coeff.evaluate(prefix)
+            starts.append(scalar.letter_power(table, prefix, q))
         out.append(tuple(starts))
     return out
 

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -254,10 +255,12 @@ def test_malformed_json(tmp_path, capsys):
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe{}", "not UTF-8 text: byte 0 is 0xff"),
     (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
-], ids=["not-utf8", "nested-too-deeply"])
+    (b'{"p": ' + b"7" * 5000 + b"}", "an integer has more than 4300 digits"),
+], ids=["not-utf8", "nested-too-deeply", "integer-over-digit-limit"])
 def test_unreadable_spec_files(tmp_path, capsys, content, message):
-    # a file that is not UTF-8, or JSON nested past the parser's recursion
-    # limit, exits 2 with one line naming it, and no traceback
+    # a file that is not UTF-8, JSON nested past the parser's recursion
+    # limit, or an integer longer than Python's default limit on integer
+    # string conversion exits 2 with one line naming it, and no traceback
     bad = tmp_path / "spec.json"
     bad.write_bytes(content)
     code, out, err = run(capsys, "build", str(bad))
@@ -494,6 +497,23 @@ def test_huge_canvas_verify_exits_before_allocating(capsys):
         "capacity exceeded: one word of 4 letters needs a canvas of 1000017000016 cells, "
         "over the cap of 1048576\n"
     )
+
+
+def test_huge_r_builds_in_little_memory(tmp_path, capsys):
+    # the set-up may hold nothing that grows as r^2, such as a table of the
+    # weights p^(r-1-k) of the section letters (104 MB traced at r = 40000)
+    spec = json.loads((TEST_SPECS / "huge_r.json").read_text())
+    spec["r"] = 40000
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "build", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 8 << 20
 
 
 def test_reducible_separable_companion(capsys):

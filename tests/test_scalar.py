@@ -14,12 +14,14 @@ from edesolver.scalar import (
     base_power,
     build_automaton,
     degree_bound,
+    entries,
     explore,
     extend_residues,
     extend_state,
     initial_state,
     is_accepting_residues,
     is_accepting_state,
+    span_layout,
     step,
 )
 
@@ -128,6 +130,23 @@ def test_step_worked_values():
     assert step(EDE_THETA, 1, (1,), (0,), ONE) == ZERO
     assert step(EDE_THETA, 1, (1,), (1,), ONE) == ONE
     assert step(EDE_THETA, 1, (1,), (0,), THETA) == THETA  # section(theta^2, 0)
+
+
+def test_span_layout_multipliers_are_base_power_times_conjugator():
+    # the triple of letter x from entry (i, a, k) to entry (i, a, b) carries
+    # entry (k, b) of summand i's multiplier P^x * C'
+    pairs = [ede for pair in suites.n1_pairs() for ede in pair]
+    for ede in suites.scalar_suite() + suites.matrix_suite() + pairs:
+        n = ede.n
+        _, moves = span_layout([ede])
+        assert list(moves) == list(ede.exponent_alphabet)
+        for x, triples in moves.items():
+            mults = [entries(base_power(ede, i, x) * ede.conjugator) for i in range(1, ede.s + 1)]
+            assert len(set((a, b) for a, b, _ in triples)) == len(triples) == ede.s * n**3
+            for source, target, f in triples:
+                i, a, k = source // (n * n), source // n % n, source % n
+                assert target // n == i * n + a
+                assert f == mults[i][k * n + target % n], (ede, x, source, target)
 
 
 # ------------------------------------------------------- residue extension

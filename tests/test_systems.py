@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import suites
-from edesolver import cli, companion, fsa, oracle, scalar
+from edesolver import cli, companion, fsa, oracle, scalar, systems
 from edesolver.companion import MatrixEde, PolyMatrix, companion_matrix
 from edesolver.digits import DigitWord, alphabet
 from edesolver.errors import StructureError
@@ -203,6 +203,25 @@ def test_peel_last_digits_equals_peel_equation_on_bundled_specs():
             if sys_spec.companion is not None:
                 cprime = companion.conjugator(sys_spec.companion)[0]
                 assert all(ede.conjugator == cprime for ede in edes)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SPECS.glob("*.json")) + [COMPANION_SYSTEM_T2], ids=lambda p: p.stem
+)
+def test_start_coefficients_are_the_literal_products(path):
+    # c(d) * q * prod_k P_k^{d_k} for every last digit d, each power taken on its own
+    sys_spec = cli.load_spec(str(path))
+    letters = alphabet(sys_spec.field.p, sys_spec.t)
+    for eq in sys_spec.equations:
+        summands = sys_spec.ring_summands(eq)
+        for d, starts in zip(letters, systems._starts(sys_spec.field.p, summands, letters), strict=True):
+            want = []
+            for coeff, q, bases in summands:
+                start = q * (1 if coeff is None else coeff.evaluate(d))
+                for base, dk in zip(bases, d):
+                    start = start * base**dk
+                want.append(start)
+            assert starts == tuple(want), (path.stem, d)
 
 
 def test_peel_preserves_solutions_scalar():
