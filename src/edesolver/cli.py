@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import fsa, oracle, systems
@@ -177,21 +176,6 @@ def load_spec(path: str) -> SystemSpec:
     return parse_spec(obj, origin=path)
 
 
-def _state_cap(args) -> int:
-    if args.state_cap is not None:
-        return args.state_cap
-    env = os.environ.get("EDE_STATE_CAP")
-    if env:
-        try:
-            cap = parse_int(env)
-        except ValueError as exc:
-            raise SpecFileError(f"EDE_STATE_CAP={env!r} is not an integer") from exc
-        if cap < 1:
-            raise SpecFileError(f"EDE_STATE_CAP={env!r} is below 1")
-        return cap
-    return fsa.DEFAULT_STATE_CAP
-
-
 def _parse_tuple(text: str, t: int) -> tuple:
     try:
         values = tuple(parse_int(v) for v in text.split(","))
@@ -228,7 +212,7 @@ def _positive(text: str) -> int:
 def cmd_build(args) -> int:
     spec = load_spec(args.spec)
     # exported machines are canonical artifacts, so shrink them first
-    aut = systems.solve_system(spec, _state_cap(args)).minimize()
+    aut = systems.solve_system(spec, args.state_cap).minimize()
     sys.stdout.write(aut.to_dot() if args.out == "dot" else aut.to_json())
     return 0
 
@@ -236,7 +220,7 @@ def cmd_build(args) -> int:
 def cmd_check(args) -> int:
     spec = load_spec(args.spec)
     values = _parse_tuple(args.tuple, spec.t)
-    aut = systems.solve_system(spec, _state_cap(args))
+    aut = systems.solve_system(spec, args.state_cap)
     word = DigitWord.encode(values, spec.field.p, spec.t)
     if aut.accepts(word):
         print("solution")
@@ -248,7 +232,7 @@ def cmd_check(args) -> int:
 def cmd_enum(args) -> int:
     spec = load_spec(args.spec)
     count_words(len(alphabet(spec.field.p, spec.t)), args.max_len, ENUM_WORD_CAP)
-    aut = systems.solve_system(spec, _state_cap(args))
+    aut = systems.solve_system(spec, args.state_cap)
     seen = set()
     for word in aut.enumerate_words(args.max_len):
         seen.add(word.decode())
@@ -266,7 +250,7 @@ def cmd_verify(args) -> int:
     max_len = args.max_len if args.max_len is not None else _default_max_len(spec)
     # compare counts the words too, but only after a build that a blown cap wastes
     count_words(len(alphabet(spec.field.p, spec.t)), max_len, oracle.DEFAULT_WORD_CAP)
-    aut = systems.solve_system(spec, _state_cap(args))
+    aut = systems.solve_system(spec, args.state_cap)
     report = oracle.compare(spec, aut, max_len)
     sys.stdout.write(report.to_json())
     return 0 if report.ok else 1
@@ -274,7 +258,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solvable(args) -> int:
     spec = load_spec(args.spec)
-    aut = systems.solve_system(spec, _state_cap(args))
+    aut = systems.solve_system(spec, args.state_cap)
     if aut.is_empty():
         print("no")
         return 1
@@ -293,9 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("spec", help="path to a JSON equation spec")
         sp.add_argument(
-            "--state-cap", type=_positive, default=None,
-            help="max automaton states (default: EDE_STATE_CAP or "
-            f"{fsa.DEFAULT_STATE_CAP})",
+            "--state-cap", type=_positive, default=fsa.DEFAULT_STATE_CAP,
+            help="max automaton states (default: %(default)s)",
         )
 
     sp = sub.add_parser("build", help="print the solution automaton")

@@ -262,8 +262,8 @@ def conjugator(spec: CompanionSpec) -> tuple:
     cprime = PolyMatrix(field, r, tuple(tuple(col[i] for col in cols) for i in range(n)))
     if determinant(cprime).is_zero():
         raise SingularConjugatorError(
-            "conjugator is singular; the minimal polynomial is not irreducible "
-            "and separable over the fraction field"
+            "conjugator is singular; the minimal polynomial has a repeated root "
+            "over the fraction field"
         )
     sigma = spec.rho ** (field.p * (n - 1))
     return cprime, sigma

@@ -22,7 +22,7 @@ def alphabet(p: int, width: int) -> tuple:
         raise StructureError("need p >= 2 and width >= 1")
     if p**width > MAX_LETTERS:
         raise CapacityError(
-            f"alphabet of size {p**width} exceeds cap {MAX_LETTERS}",
+            f"alphabet of {p}^{width} letters exceeds cap {MAX_LETTERS}",
             discovered=p**width,
         )
     return tuple(itertools.product(range(p), repeat=width))

@@ -383,7 +383,7 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2) + "\n"
 
 
-def compare(spec, automaton, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> VerificationReport:
+def compare(spec, automaton, max_len: int) -> VerificationReport:
     """Check every word of length <= max_len against the automaton.
 
     A word mismatches when the automaton's verdict differs from the
@@ -400,7 +400,7 @@ def compare(spec, automaton, max_len: int, word_cap: int = DEFAULT_WORD_CAP) -> 
         raise StructureError("max_len must be a natural number")
     letters = alphabet(p, t)
     per_len = len(letters)
-    total = count_words(per_len, max_len, word_cap)
+    total = count_words(per_len, max_len, DEFAULT_WORD_CAP)
 
     # a shorter word is the longer one padded with zero letters
     every = _solved(spec, max(max_len, 1), equations)

@@ -97,11 +97,10 @@ MAX_STEP_CELLS = 1 << 24
 
 def _check_cells(letters: int, p: int, r: int, width: int):
     """Raise CapacityError once letters * p^r * width^2 step-map cells pass MAX_STEP_CELLS."""
-    cells = letters * p**r * width * width
-    if cells > MAX_STEP_CELLS:
+    if letters * p**r * width * width > MAX_STEP_CELLS:
         raise CapacityError(
             f"{width} coordinates reachable: their step maps need {letters} letters x "
-            f"{p}^{r} sections x {width}^2 = {cells} cells, over the cap of {MAX_STEP_CELLS}",
+            f"{p}^{r} sections x {width}^2 cells, over the cap of {MAX_STEP_CELLS}",
             discovered=width,
         )
 

@@ -468,10 +468,12 @@ def test_compare_rejects_foreign_automaton():
         compare(other, aut, 2)
 
 
-def test_compare_word_cap():
+def test_compare_word_cap(monkeypatch):
     aut = build_automaton(EDE_THETA)
-    with pytest.raises(CapacityError):
-        compare(EDE_THETA, aut, 4, word_cap=10)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "DEFAULT_WORD_CAP", 10)
+        with pytest.raises(CapacityError, match="more than 10 words"):
+            compare(EDE_THETA, aut, 4)
     # counting stops at the first length past the cap, not at 2^(10^7 + 1) - 1
     with pytest.raises(CapacityError, match="more than 500000 words") as exc:
         compare(EDE_THETA, aut, 10**7)
