@@ -285,10 +285,10 @@ def evaluate_at_companion(coeffs, spec: CompanionSpec) -> PolyMatrix:
 class MatrixEde(Equation):
     """One equation over R[B']: matrix constants ``q`` and base grid ``bases``.
 
-    All member matrices must come from evaluating xi-polynomials at the
-    companion matrix (enforced by :meth:`from_xi_coeffs`; the raw
-    constructor is for internally derived equations, whose members stay in
-    the commutative subring by construction).  ``cprime`` passes on the
+    The constructor checks only that each member is an n-by-n matrix over
+    the base ring.  Members are expected to lie in R[B'], the commutative
+    subring of xi-polynomials evaluated at the companion matrix, as
+    :func:`evaluate_at_companion` builds them.  ``cprime`` passes on the
     C' of ``base`` when the caller has it, as a system's equations share
     one; without it :attr:`conjugator` computes C' from ``base``.
     """
@@ -305,14 +305,6 @@ class MatrixEde(Equation):
             and elem.num_vars == self.base.r
             and elem.n == self.base.n
         )
-
-    @classmethod
-    def from_xi_coeffs(cls, base: CompanionSpec, q_coeffs, base_coeffs) -> "MatrixEde":
-        q = tuple(evaluate_at_companion(c, base) for c in q_coeffs)
-        bases = tuple(
-            tuple(evaluate_at_companion(c, base) for c in row) for row in base_coeffs
-        )
-        return cls(base, q, bases)
 
     @property
     def field(self) -> PrimeField:

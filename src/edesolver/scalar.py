@@ -140,8 +140,7 @@ def degree_bound(ede) -> tuple:
     (p-1)*t*M + deg C' before the section divides by p.
     N0 = ceil((p*t*M + deg C')/(p-1)) dominates the fixed point; N1
     additionally covers the starting degrees, so every reachable state
-    stays within N1.  The span engine takes N0 and widens it to the start
-    rows' degrees itself.
+    stays within N1.
     """
     p = ede.field.p
     big_m = max_degree(f for row in ede.bases for f in row)
@@ -271,9 +270,7 @@ def span_starts(qs) -> list:
 def _span(ede, state_cap: int) -> tuple:
     """(finals, transitions, bases) of the span exploration of one equation."""
     groups, moves = span_layout([ede])
-    return span.explore(
-        ede.field, ede.r, degree_bound(ede)[0], span_starts([ede.q]), moves, state_cap, groups
-    )
+    return span.explore(ede.field, ede.r, span_starts([ede.q]), moves, state_cap, groups)
 
 
 def explore(ede, state_cap: int = fsa.DEFAULT_STATE_CAP):

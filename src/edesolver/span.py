@@ -17,15 +17,16 @@ Coordinates.  A residue tuple flattens to E entry polynomials (s for a
 scalar ring, s*n^2 for a companion ring).  A coordinate is a pair (entry,
 monomial); the coordinates tracked are those the step's support map
 reaches from the supports of the start rows, which every reachable span
-lives in.  They lie in the box of total degree <= N, the caller's degree
-bound N0, which the step maps into itself, widened to the degrees of the
-start rows, so a coordinate outside it is a bug and raises.  One queue,
-grown as new coordinates are reached, finds them and sums the terms of
-each one's row of the step maps below.  Coordinate i is the i-th the queue
+lives in.  They are finite because a section shrinks degree: with D the
+largest degree of a multiplier term, a step sends a monomial of total
+degree e to one of degree at most (e + D) div p, so no coordinate leaves
+the box of degree max(start degree, ceil(D / (p - 1))).  One queue, grown
+as new coordinates are reached, finds them and sums the terms of each
+one's row of the step maps below.  Coordinate i is the i-th the queue
 reaches, the start coordinates first: a state is its span, so any fixed
-order gives the same automaton.  The cell cap is checked on the start
-coordinates and at every new one, so a spec over it is refused before the
-terms pile up.
+order gives the same automaton.  The cell cap bounds their number: it is
+checked on the start coordinates and at every new one, so a spec over it
+is refused before the terms pile up.
 
 Step maps.  The caller gives the multipliers of every digit letter x,
 keyed by x in alphabet order, and the engine reads its alphabet from
@@ -112,7 +113,7 @@ def start_coords(rows, letters: int, p: int, r: int) -> list:
     return coords
 
 
-def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
+def _setup(rows, moves, p: int, r: int) -> tuple:
     """(coords, index, terms): the coordinates and the terms of every L_x, in one pass.
 
     ``coords`` lists the (entry, exponent vector) pairs reachable from the
@@ -122,9 +123,8 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
     each coordinate i it takes, every multiplier term adds its coefficient
     to ``terms[l][i, y, j]``: letter l sends coordinate i to that multiple
     of coordinate j under section letter y.  The sums are not reduced mod p.
-    The degree box is widened to the degrees of the start rows.  The cell
-    cap (:func:`_check_cells`) is checked on the start coordinates and at
-    each new one.
+    The cell cap (:func:`_check_cells`) is checked on the start coordinates
+    and at each new one.
     """
     out_of = {}  # source entry -> (letter, target entry, multiplier)
     for l, triples in enumerate(moves.values()):
@@ -132,11 +132,8 @@ def _setup(rows, moves, p: int, r: int, bound: int) -> tuple:
             out_of.setdefault(a, []).append((l, b, f))
     coords = start_coords(rows, len(moves), p, r)
     index = {c: i for i, c in enumerate(coords)}
-    bound = max([bound, *(sum(e) for _, e in coords)])
     terms = [{} for _ in moves]
     for i, (a, e) in enumerate(coords):  # the loop walks the queue as it grows
-        if sum(e) > bound:
-            raise RuntimeError(f"coordinate {e} leaves the degree box of bound {bound}")
         for l, b, f in out_of.get(a, ()):
             for u, c in f.terms.items():
                 total = [ei + ui for ei, ui in zip(e, u)]
@@ -329,19 +326,18 @@ def _unpack(key: bytes, lane: int) -> list:
     return [int.from_bytes(key[s:s + size], "little") for s in range(0, len(key), size)]
 
 
-def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
+def explore(field, r: int, starts, moves, state_cap: int, accept):
     """Reachable span states; returns (finals, transitions, bases).
 
     A start row is a flattened tuple of E entry polynomials in r variables.
-    ``bound`` is the degree N0 the step maps into itself; the box is widened
-    to the degrees of the start rows.  ``starts`` lists the start rows whose
-    span is the initial state, or maps every letter to such a list: then
-    state 0 is a pre-initial state (key None) whose successor under letter
-    d is the span of ``starts[d]``.  The keys of ``moves`` are the letters,
-    in order, and ``moves[x]`` lists the (source entry, target entry,
-    multiplier) triples of letter x: entry b of the image under section
-    letter y is the sum over its triples (a, b, f) of section(entry a * f, y).
-    ``accept`` maps each entry to its acceptance group.
+    ``starts`` lists the start rows whose span is the initial state, or maps
+    every letter to such a list: then state 0 is a pre-initial state (key
+    None) whose successor under letter d is the span of ``starts[d]``.  The
+    keys of ``moves`` are the letters, in order, and ``moves[x]`` lists the
+    (source entry, target entry, multiplier) triples of letter x: entry b of
+    the image under section letter y is the sum over its triples (a, b, f)
+    of section(entry a * f, y).  ``accept`` maps each entry to its
+    acceptance group.
 
     ``finals`` holds the states whose rows sum to zero within every group.
     The pre-initial state takes the verdict of the zero letter's span: by
@@ -354,7 +350,7 @@ def explore(field, r: int, bound: int, starts, moves, state_cap: int, accept):
     letters = tuple(moves)
     dispatch = isinstance(starts, dict)
     coords, index, terms = _setup(
-        [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r, bound
+        [row for d in letters for row in starts[d]] if dispatch else starts, moves, p, r
     )
     width = len(coords)
     b, image, echelon = _kernels(p, width, p**r)

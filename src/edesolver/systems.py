@@ -23,8 +23,7 @@ d (``scalar.span_starts``), one row per equation; a span accepts when
 every equation's residues cancel.  The engine also decides the empty
 word: it spells the zero tuple, as the word of one zero letter does, so
 the pre-initial state takes that letter's verdict (:func:`solves_at_zero`
-computes it from the summands, as a reference).  The engine widens the
-degree bound N0 of the equations to the degrees of the start rows itself.
+computes it from the summands, as a reference).
 :func:`peel_equation` and :func:`peel_last_digits` give the peeled
 equations themselves.
 """
@@ -204,7 +203,6 @@ def solve_system(sys: SystemSpec, state_cap: int = fsa.DEFAULT_STATE_CAP) -> fsa
     # one equation per system equation: its bases P^p and C' serve every prefix
     edes = [_peeled(sys, sms, q) for sms, q in zip(summands, qs[letters[0]])]
     groups, moves = scalar.span_layout(edes)
-    n0 = max(scalar.degree_bound(ede)[0] for ede in edes)
-    finals, transitions, _ = span.explore(sys.field, sys.r, n0, starts, moves, state_cap, groups)
+    finals, transitions, _ = span.explore(sys.field, sys.r, starts, moves, state_cap, groups)
     labels = ["pre"] + [str(i) for i in range(1, len(transitions))]
     return fsa.Automaton(sys.field.p, sys.t, labels, transitions, 0, finals)

@@ -202,16 +202,6 @@ def test_matrix_ede_validation():
         MatrixEde(SPEC2, (IDENT2,), ((PolyMatrix.identity(F2, 1, 3),),))
 
 
-def test_from_xi_coeffs():
-    ede = MatrixEde.from_xi_coeffs(
-        SPEC2,
-        ((ONE,), (ZERO, ONE)),
-        (((ZERO, ONE),), ((ONE,),)),
-    )
-    assert ede.q == (IDENT2, B2)
-    assert ede.bases == ((B2,), (IDENT2,))
-
-
 def test_degree_bound_matrix():
     # base degree 1, conjugator degree 1: ceil((2*1*1 + 1)/1)
     assert degree_bound(EDE_B) == (3, 3)

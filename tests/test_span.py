@@ -6,11 +6,16 @@ Span states track the F_p-span of those sets, so both constructions must
 give the same minimal automaton: transitions, finals and initial state.
 Before minimizing, the finals a build picks by its kernel test must be the
 span states whose decoded basis (``explore``) passes the set predicate.
+The engine's languages must also obey the Frobenius and shift identities,
+and its coordinates must stay in the degree box of ``degree_bound``.
 """
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import io
+import itertools
 import math
 import pathlib
 import tracemalloc
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 import suites
 from edesolver import cli, companion, fsa, scalar, span, systems
+from edesolver.digits import DigitWord
 from edesolver.errors import CapacityError
 from edesolver.gfpoly import Poly, PrimeField, parse_poly
 from edesolver.scalar import ScalarEde
@@ -118,6 +124,64 @@ def test_random_scalar_equations_match_set_construction(ede):
         assert_same_minimal_automaton(scalar, ede, RANDOM_LIMITS)
     except TooLarge:
         reject()
+
+
+# ------------------------------------------------------- metamorphic checks
+
+
+def frobenius(ede):
+    """The equation with every Q_i raised to the p-th power."""
+    return dataclasses.replace(ede, q=tuple(q**ede.field.p for q in ede.q))
+
+
+def shifted(ede, k: int):
+    """The equation with every Q_i multiplied by its base P_ik."""
+    return dataclasses.replace(ede, q=tuple(q * row[k] for q, row in zip(ede.q, ede.bases)))
+
+
+def assert_frobenius(ede):
+    # sum Q_i^p P_i^(p n) is (sum Q_i P_i^n)^p, which vanishes exactly when
+    # its p-th root does in a reduced ring, and the word 0.w spells p n
+    aut, lifted = scalar.build_automaton(ede), scalar.build_automaton(frobenius(ede))
+    zero = (0,) * ede.t
+    for length in range(4):
+        for word in itertools.product(aut.letters, repeat=length):
+            assert lifted.accepts((zero, *word)) == aut.accepts(word), (ede, word)
+
+
+def assert_shift(ede):
+    # sum Q_i P_ik P_i^n is sum Q_i P_i^(n + e_k)
+    p, t = ede.field.p, ede.t
+    aut = scalar.build_automaton(ede)
+    for k in range(t):
+        moved = scalar.build_automaton(shifted(ede, k))
+        for n in itertools.product(range(p**3 - 1), repeat=t):
+            up = tuple(v + (j == k) for j, v in enumerate(n))
+            want = aut.accepts(DigitWord.encode(up, p, t))
+            assert moved.accepts(DigitWord.encode(n, p, t)) == want, (ede, k, n)
+
+
+def test_frobenius_prepends_a_zero_letter():
+    # F_p[theta] and the separable rings R[B'] of the matrix suite are reduced
+    for ede in suites.scalar_suite() + suites.matrix_suite():
+        assert_frobenius(ede)
+
+
+def test_multiplying_q_by_a_base_shifts_its_unknown():
+    for ede in suites.scalar_suite() + suites.matrix_suite():
+        assert_shift(ede)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_scalar_edes())
+def test_random_frobenius_prepends_a_zero_letter(ede):
+    assert_frobenius(ede)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_scalar_edes())
+def test_random_multiplying_q_by_a_base_shifts_its_unknown(ede):
+    assert_shift(ede)
 
 
 # ------------------------------------------------------------- elimination
@@ -246,7 +310,7 @@ def test_packed_step_images_equal_the_dense_products(data):
     letters = ((0,), (1,))
     moves = {x: [(entry(), entry(), poly()) for _ in range(data.draw(st.integers(0, 4)))] for x in letters}
     start = [tuple(poly() for _ in range(entries))]
-    coords, _, terms = span._setup(start, moves, p, r, 3 * r)
+    coords, _, terms = span._setup(start, moves, p, r)
     width, sections = len(coords), p**r
     dense = _step_matrices(terms, width, p, r)
     b, image, _ = span._kernels(p, width, sections)
@@ -264,7 +328,7 @@ def span_verdict(p: int, accept, rows) -> bool:
     """Whether the engine's start span of ``rows`` (one {exponent: coeff} per entry) accepts."""
     field = PrimeField(p)
     start = [tuple(Poly(field, 1, {(e,): c for e, c in entry.items() if c}) for entry in row) for row in rows]
-    finals, _, _ = span.explore(field, 1, 0, start, {(0,): []}, 10, accept)
+    finals, _, _ = span.explore(field, 1, start, {(0,): []}, 10, accept)
     return 0 in finals
 
 
@@ -431,17 +495,62 @@ def test_wide_section_images_take_only_their_nonzero_lanes(monkeypatch):
 
 # ---------------------------------------------------------------- guards
 
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 TEST_SPECS = pathlib.Path(__file__).resolve().parent / "specs"
+# specs that a cap refuses before or during the set-up
+CAP_SPECS = ("cap_p191", "cap_companion_p101", "huge_prime")
 
 F2 = PrimeField(2)
-THETA = Poly.variable(F2, 1, 0)
 ONE = Poly.one(F2, 1)
 
 
-def test_image_outside_the_degree_box_raises():
-    # theta^3 sends 1 to theta (section by 1), which bound 0 cannot hold
-    with pytest.raises(RuntimeError, match="degree box"):
-        span.explore(F2, 1, 0, [(ONE,)], {(1,): [(0, 0, THETA**3)]}, 100, [0])
+def degree_box_inputs():
+    """(name, N0, build) for every suite instance and every bundled spec the caps admit.
+
+    A spec's N0 is the largest over its equations, peeled at the zero
+    prefix: the peeled bases P^p are the same for every prefix.  Its build
+    stops at a state cap of 1, after the set-up.
+    """
+    for k, ede in enumerate(suites.scalar_suite() + suites.matrix_suite()):
+        yield f"suite {k}", scalar.degree_bound(ede)[0], functools.partial(scalar.build_automaton, ede)
+    for path in sorted(SPECS.glob("*.json")) + sorted(TEST_SPECS.glob("*.json")):
+        if path.stem in CAP_SPECS:
+            continue
+        spec = cli.load_spec(str(path))
+        zero = (0,) * spec.t
+        n0 = max(scalar.degree_bound(systems.peel_equation(spec, eq, zero))[0] for eq in spec.equations)
+        yield path.stem, n0, functools.partial(_solve_past_setup, spec)
+
+
+def _solve_past_setup(spec):
+    with contextlib.suppress(CapacityError):
+        systems.solve_system(spec, 1)
+
+
+def test_coordinates_stay_in_the_degree_box(monkeypatch):
+    # The step maps the box of degree max(N0, start degree) into itself, so
+    # no coordinate the set-up reaches leaves it.  The engine holds no check
+    # of its own: this one catches a degree_bound below the true box.
+    seen = []  # (largest start-row degree, coordinates) of each set-up
+    setup = span._setup
+
+    def recorded(rows, *args):
+        out = setup(rows, *args)
+        seen.append((scalar.max_degree(f for row in rows for f in row), out[0]))
+        return out
+
+    monkeypatch.setattr(span, "_setup", recorded)
+    risen = set()  # the inputs whose coordinates rise above their start degree
+    for name, n0, build in degree_box_inputs():
+        seen.clear()
+        build()
+        assert seen, name
+        for start, coords in seen:
+            top = max((sum(e) for _, e in coords), default=0)
+            assert top <= max(n0, start), (name, top, n0, start)
+            if top > start:
+                risen.add(name)
+    assert "companion_n6" in risen, risen
 
 
 def test_prime_that_could_overflow_int64_is_capped():
@@ -450,13 +559,13 @@ def test_prime_that_could_overflow_int64_is_capped():
     big = PrimeField(4294967311)
     one = Poly.one(big, 1)
     with pytest.raises(CapacityError):
-        span.explore(big, 1, 0, [(one,)], {(0,): [(0, 0, one)]}, 100, [0])
+        span.explore(big, 1, [(one,)], {(0,): [(0, 0, one)]}, 100, [0])
 
 
 def test_step_matrix_cells_are_capped():
     dense = Poly(F2, 1, {(i,): 1 for i in range(3000)})
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 1, 3000, [(dense,)], {(0,): []}, 100, [0])
+        span.explore(F2, 1, [(dense,)], {(0,): []}, 100, [0])
     assert exc.value.discovered > math.isqrt(span.MAX_STEP_CELLS // 2)
 
 
@@ -464,7 +573,7 @@ def test_step_matrix_cap_names_the_cells_needed():
     # two coordinates in 50 variables: 2^50 sections make any step map too large
     start = Poly.one(F2, 50) + Poly.variable(F2, 50, 0)
     with pytest.raises(CapacityError) as exc:
-        span.explore(F2, 50, 1, [(start,)], {(0,): [], (1,): []}, 100, [0])
+        span.explore(F2, 50, [(start,)], {(0,): [], (1,): []}, 100, [0])
     assert exc.value.discovered == 2
     assert str(exc.value) == (
         "2 coordinates reachable: their step maps need 2 letters x 2^50 sections x 2^2 "
@@ -493,8 +602,6 @@ def test_high_degree_start_tracks_only_reachable_coordinates():
 
 
 # ------------------------------------------------------------ pinned outputs
-
-SPECS = pathlib.Path(__file__).resolve().parent.parent / "demos" / "specs"
 
 # SHA-256 of the raw automata of both suites and of `edesolver build` on the
 # bundled specs.  Any engine change must leave state numbering, finals and

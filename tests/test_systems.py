@@ -416,10 +416,15 @@ def test_companion_system_t2_build_is_pinned():
 RELATION_P3_N2_DIGEST = "58b5c7c779ac24d4d718bc95f09ceb897228dc5dae2c1b3331ed9553ab06a8ee"
 
 
-def test_relation_p3_n2_build_is_pinned():
+@pytest.fixture(scope="module")
+def relation_builds():
+    """The raw automata of the two relation specs, built once for this module."""
+    return {path: solve_system(cli.load_spec(str(path))) for path in (RELATION_P3_N2, RELATION_N4)}
+
+
+def test_relation_p3_n2_build_is_pinned(relation_builds):
     # a p = 3 companion spec whose language is not empty: 982 raw states
-    sys_spec = cli.load_spec(str(RELATION_P3_N2))
-    raw = solve_system(sys_spec)
+    raw = relation_builds[RELATION_P3_N2]
     aut = raw.minimize()
     assert (raw.num_states, aut.num_states) == (982, 4)
     assert hashlib.sha256(aut.to_json().encode()).hexdigest() == RELATION_P3_N2_DIGEST
@@ -431,15 +436,35 @@ def test_relation_p3_n2_build_is_pinned():
 RELATION_N4_DIGEST = "9dfca5d0433af8b10001458ddacd5935e0773705657332a53067d4dfcbed4076"
 
 
-def test_relation_n4_build_is_pinned():
+def test_relation_n4_build_is_pinned(relation_builds):
     # a p = 2 companion spec of order 4 whose language is not empty
-    sys_spec = cli.load_spec(str(RELATION_N4))
-    raw = solve_system(sys_spec)
+    raw = relation_builds[RELATION_N4]
     aut = raw.minimize()
     assert (raw.num_states, aut.num_states) == (13845, 3)
     assert hashlib.sha256(aut.to_json().encode()).hexdigest() == RELATION_N4_DIGEST
     for n1, n2 in itertools.product(range(32), repeat=2):
         assert aut.accepts(DigitWord.encode((n1, n2), 2, 2)) == (n1 == 2 * n2), (n1, n2)
+
+
+def times_p_automaton(p: int) -> fsa.Automaton:
+    """The DFA of n1 = p n2 on LSB-first digit pairs, built by hand.
+
+    State c < p is the carry: the digit of n2 that n1's next digit must
+    repeat.  State p is the sink.  Carry 0 starts and alone accepts.
+    """
+    letters = alphabet(p, 2)
+    transitions = [[d2 if d1 == c else p for d1, d2 in letters] for c in range(p)]
+    transitions.append([p] * len(letters))
+    return fsa.Automaton(p, 2, range(p + 1), transitions, 0, {0})
+
+
+@pytest.mark.parametrize("path", [RELATION_N4, RELATION_P3_N2], ids=lambda path: path.stem)
+def test_relation_languages_are_the_closed_forms(relation_builds, path):
+    # the relation specs solve exactly n1 = p n2, at every word length
+    raw = relation_builds[path]
+    want = signature(times_p_automaton(raw.p).minimize())
+    assert signature(raw.minimize()) == want
+    assert len(want[0]) == raw.p + 1
 
 
 def test_all_zero_starts_explore_only_the_zero_space():
